@@ -1,17 +1,18 @@
-// Ablation: the distributed-memory solver (paper future work #1) vs the
-// shared-memory OpenMP solver on identical inputs — what moving to
-// explicit halo exchange costs per step, plus the communication volume.
+// Ablation: the distributed-memory solver (paper future work #1) on its
+// two rank-mesh shapes vs the shared-memory OpenMP solver on identical
+// inputs — what moving to explicit halo exchange costs per step, and how
+// much halo each mesh shape sends.
 //
 // On a real cluster the comparison flips: the distributed version scales
 // past one node while shared memory cannot. Here the point is that the
-// halo protocol's overhead is modest and its volume is the analytically
-// expected 2 faces x 5 populations per rank per step.
+// halo protocol's overhead is modest. The halo volume is read from the
+// packets the solver actually sent (self-sends included: on the R x 1
+// slab mesh a rank is its own y neighbour).
 #include <iomanip>
 #include <iostream>
 #include <thread>
 
-#include "core/distributed_solver.hpp"
-#include "core/openmp_solver.hpp"
+#include "core/distributed2d_solver.hpp"
 #include "io/csv_writer.hpp"
 #include "lbmib.hpp"
 
@@ -31,44 +32,53 @@ int main(int argc, char** argv) {
   base.sheet_height = 8.0;
   base.sheet_origin = {20.0, 8.0, 8.0};
 
-  std::cout << "=== Ablation: distributed-memory (halo exchange) vs "
-               "shared-memory OpenMP ===\n";
+  std::cout << "=== Ablation: distributed-memory (halo exchange, slab and "
+               "balanced meshes) vs shared-memory OpenMP ===\n";
   std::cout << "grid " << base.nx << "x" << base.ny << "x" << base.nz
             << ", " << steps << " steps; hardware threads: "
             << std::thread::hardware_concurrency() << "\n\n";
 
-  const Size face_bytes = 5 * static_cast<Size>(base.ny) *
-                          static_cast<Size>(base.nz) * sizeof(Real);
-
   CsvWriter csv("ablation_distributed.csv",
-                {"ranks", "openmp_seconds", "distributed_seconds",
-                 "halo_KB_per_rank_step"});
+                {"ranks", "openmp_seconds", "slab_seconds",
+                 "balanced_seconds", "slab_halo_KB_per_rank_step",
+                 "balanced_halo_KB_per_rank_step"});
 
-  std::cout << std::setw(7) << "ranks" << std::setw(13) << "OpenMP (s)"
-            << std::setw(17) << "distributed (s)" << std::setw(22)
-            << "halo KB/rank/step" << '\n';
-  std::cout << std::string(59, '-') << '\n';
+  // Wall time of `steps` steps, plus halo KB per rank-step when the
+  // solver is a distributed one.
+  auto measure = [&](SolverKind kind, const SimulationParams& p,
+                     double& halo_kb) {
+    auto solver = make_solver(kind, p);
+    WallTimer timer;
+    solver->run(steps);
+    const double seconds = timer.seconds();
+    if (const auto* dist =
+            dynamic_cast<const Distributed2DSolver*>(solver.get())) {
+      halo_kb = static_cast<double>(dist->halo_traffic().bytes) / 1024.0 /
+                static_cast<double>(p.num_threads * steps);
+    }
+    return seconds;
+  };
+
+  std::cout << std::setw(7) << "ranks" << std::setw(12) << "OpenMP (s)"
+            << std::setw(10) << "slab (s)" << std::setw(14)
+            << "balanced (s)" << std::setw(20) << "slab halo KB/r/s"
+            << std::setw(24) << "balanced halo KB/r/s" << '\n';
+  std::cout << std::string(87, '-') << '\n';
   for (int ranks : {1, 2, 4, 8}) {
     SimulationParams p = base;
     p.num_threads = ranks;
-    double omp_s, dist_s;
-    {
-      OpenMPSolver solver(p);
-      WallTimer timer;
-      solver.run(steps);
-      omp_s = timer.seconds();
-    }
-    {
-      DistributedSolver solver(p);
-      WallTimer timer;
-      solver.run(steps);
-      dist_s = timer.seconds();
-    }
-    const double halo_kb = 2.0 * static_cast<double>(face_bytes) / 1024.0;
-    csv.row({static_cast<double>(ranks), omp_s, dist_s, halo_kb});
-    std::cout << std::setw(7) << ranks << std::setw(13) << std::fixed
-              << std::setprecision(3) << omp_s << std::setw(17) << dist_s
-              << std::setw(20) << std::setprecision(1) << halo_kb << '\n';
+    double unused = 0.0, slab_kb = 0.0, balanced_kb = 0.0;
+    const double omp_s = measure(SolverKind::kOpenMP, p, unused);
+    const double slab_s = measure(SolverKind::kDistributed, p, slab_kb);
+    const double balanced_s =
+        measure(SolverKind::kDistributed2D, p, balanced_kb);
+    csv.row({static_cast<double>(ranks), omp_s, slab_s, balanced_s, slab_kb,
+             balanced_kb});
+    std::cout << std::setw(7) << ranks << std::fixed << std::setprecision(3)
+              << std::setw(12) << omp_s << std::setw(10) << slab_s
+              << std::setw(14) << balanced_s << std::setprecision(1)
+              << std::setw(20) << slab_kb << std::setw(24) << balanced_kb
+              << '\n';
   }
   std::cout << "\n(plus one 3*fiber-nodes all-reduce per step for the "
                "structure)\nWrote ablation_distributed.csv\n";

@@ -99,16 +99,17 @@ class Solver {
 };
 
 /// Which solver implementation to instantiate. kDataflow is the
-/// dynamically scheduled variant of the cube solver and kDistributed the
-/// message-passing slab-decomposed one — the paper's two future-work
-/// directions (see core/dataflow_solver.hpp, core/distributed_solver.hpp).
+/// dynamically scheduled variant of the cube solver; kDistributed and
+/// kDistributed2D are the message-passing solver on two rank-mesh shapes
+/// — the paper's two future-work directions (see core/dataflow_solver.hpp,
+/// core/distributed2d_solver.hpp).
 enum class SolverKind {
   kSequential,
   kOpenMP,
   kCube,
   kDataflow,
-  kDistributed,    ///< 1-D slab decomposition (message passing)
-  kDistributed2D,  ///< 2-D tile decomposition (message passing)
+  kDistributed,    ///< message passing over an R x 1 mesh of x-slabs
+  kDistributed2D,  ///< message passing over a balanced Rx x Ry tile mesh
 };
 
 std::string_view solver_kind_name(SolverKind kind);

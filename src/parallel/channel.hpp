@@ -3,7 +3,7 @@
 //
 // The paper's first future-work item is extending the cube-based
 // implementation "to extreme-scale distributed memory manycore systems".
-// DistributedSolver realizes that algorithm with ranks that share no
+// Distributed2DSolver realizes that algorithm with ranks that share no
 // fluid state and communicate only through these channels; porting it to
 // MPI means replacing Channel/Communicator with MPI_Send/MPI_Recv and
 // nothing else.

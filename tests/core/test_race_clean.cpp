@@ -12,7 +12,6 @@
 #include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
-#include "core/distributed_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "parallel/race_detector.hpp"
@@ -80,10 +79,10 @@ TEST(RaceClean, DataflowSolverOverlapped) {
   EXPECT_EQ(solver.steps_completed(), 6);
 }
 
-TEST(RaceClean, DistributedSolver) {
+TEST(RaceClean, DistributedSlab) {
   ScopedRaceDetector sd;
-  DistributedSolver solver(fsi_params());
-  EXPECT_NO_THROW(solver.run(4));
+  const auto solver = make_solver(SolverKind::kDistributed, fsi_params());
+  EXPECT_NO_THROW(solver->run(4));
 }
 
 TEST(RaceClean, Distributed2DSolver) {
@@ -114,8 +113,8 @@ TEST(RaceClean, ChannelBoundaryAcrossSolvers) {
   }
   {
     ScopedRaceDetector sd;
-    DistributedSolver solver(p);
-    EXPECT_NO_THROW(solver.run(3));
+    const auto solver = make_solver(SolverKind::kDistributed, p);
+    EXPECT_NO_THROW(solver->run(3));
   }
 }
 

@@ -9,7 +9,6 @@
 #include "common/rng.hpp"
 #include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
-#include "core/distributed_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
@@ -82,9 +81,9 @@ TEST_P(RandomizedEquivalence, AllSolversMatchSequential) {
   flow.run(5);
   EXPECT_LT(compare_solvers(seq, flow).max_any(), 1e-11) << "dataflow";
 
-  DistributedSolver dist(p);
-  dist.run(5);
-  EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-11) << "distributed";
+  const auto dist = make_solver(SolverKind::kDistributed, p);
+  dist->run(5);
+  EXPECT_LT(compare_solvers(seq, *dist).max_any(), 1e-11) << "distributed";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomizedEquivalence,

@@ -1,11 +1,12 @@
 // The ThreadSanitizer test path for the std::thread solvers.
 //
-// Every multi-threaded solver built on ThreadTeam (cube, dataflow,
-// distributed 1-D, distributed 2-D) is driven here with several thread
-// counts, both barrier flavours, and the observer path active, then
-// cross-checked against the sequential reference. The suite is labeled
-// `concurrency` in tests/CMakeLists.txt; `scripts/run_sanitized_tests.sh
-// thread` builds with -DLBMIB_SANITIZE=thread and runs exactly this label,
+// Every multi-threaded solver built on ThreadTeam (cube, dataflow, and the
+// distributed solver on its slab and balanced meshes) is driven here with
+// several thread counts, both barrier flavours, and the observer path
+// active, then cross-checked against the sequential reference. The suite
+// is labeled `concurrency` in tests/CMakeLists.txt;
+// `scripts/run_sanitized_tests.sh thread` builds with
+// -DLBMIB_SANITIZE=thread and runs exactly this label,
 // so any release/acquire mistake in SpinLock, the barriers, Channel, the
 // communicator replica sync, or the dataflow dependency counters surfaces
 // as a TSan report here. (The OpenMP solver is exercised by its own suite;
@@ -18,7 +19,6 @@
 #include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
-#include "core/distributed_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
 
@@ -104,9 +104,9 @@ TEST_P(DistributedConcurrency, HaloExchangeMatchesSequential) {
   // the fiber replicas.
   SimulationParams p = stress_params();
   p.num_threads = GetParam();
-  DistributedSolver dist(p);
-  dist.run(kSteps);
-  EXPECT_LT(compare_solvers(reference(), dist).max_any(), 1e-11);
+  const auto dist = make_solver(SolverKind::kDistributed, p);
+  dist->run(kSteps);
+  EXPECT_LT(compare_solvers(reference(), *dist).max_any(), 1e-11);
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, DistributedConcurrency,

@@ -6,6 +6,7 @@
 
 #include "common/error.hpp"
 #include "io/csv_writer.hpp"
+#include "test_paths.hpp"
 
 namespace lbmib {
 namespace {
@@ -20,7 +21,7 @@ std::string slurp(const std::string& path) {
 class CsvWriterTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_ = ::testing::TempDir() + "lbmib_csv_test.csv";
+  std::string path_ = test::unique_temp_path(".csv");
 };
 
 TEST_F(CsvWriterTest, HeaderAndRows) {

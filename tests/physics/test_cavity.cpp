@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "core/cube_solver.hpp"
-#include "core/distributed_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
 #include "lbm/observables.hpp"
@@ -113,9 +112,9 @@ TEST(Cavity, DistributedSolverMatchesSequential) {
   SequentialSolver seq(p);
   seq.run(20);
   p.num_threads = 4;
-  DistributedSolver dist(p);
-  dist.run(20);
-  EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-12);
+  const auto dist = make_solver(SolverKind::kDistributed, p);
+  dist->run(20);
+  EXPECT_LT(compare_solvers(seq, *dist).max_any(), 1e-12);
 }
 
 TEST(Cavity, ObliqueLidVelocity) {

@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "core/cube_solver.hpp"
 #include "core/distributed2d_solver.hpp"
-#include "core/distributed_solver.hpp"
 #include "core/sequential_solver.hpp"
 #include "core/verification.hpp"
 #include "lbm/boundary.hpp"
@@ -94,9 +93,9 @@ TEST(Obstacle, AllSolversAgree) {
   CubeSolver cube(p);
   cube.run(10);
   EXPECT_LT(compare_solvers(seq, cube).max_any(), 1e-12) << "cube";
-  DistributedSolver dist(p);
-  dist.run(10);
-  EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-12) << "dist1d";
+  const auto dist = make_solver(SolverKind::kDistributed, p);
+  dist->run(10);
+  EXPECT_LT(compare_solvers(seq, *dist).max_any(), 1e-12) << "dist1d";
   Distributed2DSolver dist2(p);
   dist2.run(10);
   EXPECT_LT(compare_solvers(seq, dist2).max_any(), 1e-12) << "dist2d";
@@ -110,9 +109,9 @@ TEST(Obstacle, SphereSpanningRankBoundary) {
   SequentialSolver seq(p);
   seq.run(10);
   p.num_threads = 2;
-  DistributedSolver dist(p);
-  dist.run(10);
-  EXPECT_LT(compare_solvers(seq, dist).max_any(), 1e-12);
+  const auto dist = make_solver(SolverKind::kDistributed, p);
+  dist->run(10);
+  EXPECT_LT(compare_solvers(seq, *dist).max_any(), 1e-12);
 }
 
 TEST(Obstacle, ConfigFileRoundTrip) {
