@@ -20,6 +20,8 @@ for the ``metric,type,stat,value`` header, and a roofline JSON file
 peaks must be positive, every kernel row must carry the analytic-model
 fields with a sane bound verdict, and when ``counters_available`` is
 true at least one row must carry measured counter fields (ipc etc.).
+A counter field is a number, or null when the host did not grant the
+event it is derived from.
 
 Exits non-zero with a description of the first failure. No third-party
 imports: json/re/argparse only.
@@ -178,9 +180,11 @@ def check_roofline(path: str) -> None:
                 fail(f"{path}: kernel {i} ({row['kernel']}) has partial "
                      f"counter fields: missing {missing}")
             for field in counter_fields:
-                if not isinstance(row[field], (int, float)):
+                v = row[field]
+                if v is not None and (isinstance(v, bool)
+                                      or not isinstance(v, (int, float))):
                     fail(f"{path}: kernel {i} ({row['kernel']}) field "
-                         f"{field!r} must be numeric")
+                         f"{field!r} must be numeric or null")
             n_with_counters += 1
     if doc["counters_available"] and n_with_counters == 0:
         fail(f"{path}: counters_available is true but no kernel row "

@@ -27,6 +27,8 @@ std::string_view kernel_name(Kernel k) {
       return "move_fibers";
     case Kernel::kCopyDistribution:
       return "copy_fluid_velocity_distribution";
+    case Kernel::kMaterializeMacroscopic:
+      return "materialize_macroscopic";
   }
   return "unknown_kernel";
 }
@@ -51,11 +53,24 @@ const char* kernel_short_name(Kernel k) {
       return "move_fibers";
     case Kernel::kCopyDistribution:
       return "copy_df";
+    case Kernel::kMaterializeMacroscopic:
+      return "materialize_macroscopic";
   }
   return "unknown";
 }
 
-int kernel_paper_index(Kernel k) { return static_cast<int>(k) + 1; }
+int kernel_paper_index(Kernel k) {
+  return k == Kernel::kMaterializeMacroscopic ? 0 : static_cast<int>(k) + 1;
+}
+
+namespace {
+
+/// "5)" for a paper kernel, "-" for the on-demand bucket.
+std::string index_label(int paper_index) {
+  return paper_index > 0 ? std::to_string(paper_index) + ")" : "-";
+}
+
+}  // namespace
 
 double KernelProfiler::total_seconds() const {
   return std::accumulate(seconds_.begin(), seconds_.end(), 0.0);
@@ -90,7 +105,7 @@ std::string KernelProfiler::report() const {
      << '\n';
   os << std::string(68, '-') << '\n';
   for (const Row& r : ranked_rows()) {
-    os << std::left << std::setw(8) << (std::to_string(r.paper_index) + ")")
+    os << std::left << std::setw(8) << index_label(r.paper_index)
        << std::setw(38) << r.name << std::right << std::setw(12)
        << std::fixed << std::setprecision(3) << r.seconds << std::setw(9)
        << std::setprecision(2) << r.percent_of_total << "%\n";
@@ -123,7 +138,7 @@ std::string kernel_report(const KernelProfiler& aggregate,
       sum_s += s;
     }
     const double mean_s = sum_s / nthreads;
-    os << std::left << std::setw(8) << (std::to_string(r.paper_index) + ")")
+    os << std::left << std::setw(8) << index_label(r.paper_index)
        << std::setw(38) << r.name << std::right << std::setw(11)
        << std::fixed << std::setprecision(3) << r.seconds << std::setw(8)
        << std::setprecision(2) << r.percent_of_total << "%" << std::setw(10)

@@ -15,7 +15,11 @@
 
 namespace lbmib {
 
-/// Identifiers for the nine LBM-IB kernels of Algorithm 1, in paper order.
+/// Identifiers for the nine LBM-IB kernels of Algorithm 1, in paper order,
+/// plus one bucket outside the paper's step: the on-demand recompute of
+/// the rho/u the fused pipeline leaves stale (DESIGN.md §11), so a
+/// snapshot, health scan or checkpoint is neither charged to kernel 7
+/// nor left unattributed.
 enum class Kernel : int {
   kBendingForce = 0,       // 1) compute_bending_force_in_fibers
   kStretchingForce = 1,    // 2) compute_stretching_force_in_fibers
@@ -26,9 +30,10 @@ enum class Kernel : int {
   kUpdateVelocity = 6,     // 7) update_fluid_velocity
   kMoveFibers = 7,         // 8) move_fibers
   kCopyDistribution = 8,   // 9) copy_fluid_velocity_distribution
+  kMaterializeMacroscopic = 9,  // -) materialize_macroscopic (not in a step)
 };
 
-inline constexpr int kNumKernels = 9;
+inline constexpr int kNumKernels = 10;
 
 /// Human-readable kernel name (matches the paper's naming).
 std::string_view kernel_name(Kernel k);
@@ -37,7 +42,8 @@ std::string_view kernel_name(Kernel k);
 /// ("collide", "spread", ...). Static storage, null-terminated.
 const char* kernel_short_name(Kernel k);
 
-/// Paper index of the kernel (1-based, as used in Algorithm 1 and Table I).
+/// Paper index of the kernel (1-based, as used in Algorithm 1 and Table I);
+/// 0 for kMaterializeMacroscopic, which is not one of the paper's nine.
 int kernel_paper_index(Kernel k);
 
 /// Accumulates wall time per kernel. Not thread-safe by itself; parallel
@@ -81,7 +87,7 @@ class KernelProfiler {
   /// One row of the Table-I style report.
   struct Row {
     Kernel kernel;
-    int paper_index;          // 1..9 as in Algorithm 1
+    int paper_index;          // 1..9 as in Algorithm 1, 0 = not a paper kernel
     std::string name;
     double seconds;
     double percent_of_total;  // 0..100

@@ -29,6 +29,7 @@ CubeSolver::CubeSolver(const SimulationParams& params,
                        DistributionPolicy policy, BarrierKind barrier_kind)
     : Solver(params),
       grid_(params),
+      footprint_(params.nx, params.ny, grid_.cube_size()),
       mesh_(fitted_mesh(params.num_threads, grid_.cubes_x(),
                         grid_.cubes_y(), grid_.cubes_z())),
       dist_(grid_.cubes_x(), grid_.cubes_y(), grid_.cubes_z(), mesh_,
@@ -46,6 +47,7 @@ CubeSolver::CubeSolver(const SimulationParams& params,
                        DistributionPolicy policy, BarrierKind barrier_kind)
     : Solver(params),
       grid_(params),
+      footprint_(params.nx, params.ny, grid_.cube_size()),
       mesh_(numa_hierarchical_mesh(topology, params.num_threads).mesh),
       dist_(make_numa_distribution(topology, params.num_threads,
                                    grid_.cubes_x(), grid_.cubes_y(),
@@ -101,6 +103,7 @@ void CubeSolver::finish_construction(DistributionPolicy policy) {
 }
 
 void CubeSolver::thread_entry(int tid, Index num_steps,
+                              IbFootprint::Stamp first_stamp,
                               const StepObserver& observer,
                               Index observer_interval) {
   using Clock = std::chrono::steady_clock;
@@ -115,6 +118,11 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
   const std::vector<Size>& my_cubes = owned_cubes_[static_cast<Size>(tid)];
   const std::vector<std::pair<Size, Index>>& my_fibers =
       owned_fibers_[static_cast<Size>(tid)];
+  // Fused pipeline (DESIGN.md §11): kernel 7 and the end-of-step force
+  // reset touch only the cubes of this step's IB footprint. A cube column
+  // is (cx, cy), i.e. cube id / cubes_z.
+  const bool fused = params_.fused_step;
+  const Size cubes_z = static_cast<Size>(grid_.cubes_z());
 
   // Liveness: one heartbeat per phase per step plus a cancel poll at
   // the step boundary. The beat label names the sync point the thread
@@ -129,6 +137,11 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
     // barrier-wait spans nest inside it.
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
                      static_cast<std::int64_t>(step));
+    const IbFootprint::Stamp stamp =
+        first_stamp + static_cast<IbFootprint::Stamp>(step);
+    auto in_footprint = [&](Size cube) {
+      return !fused || footprint_.covered(cube / cubes_z, stamp);
+    };
     // --- 1st loop: fiber kernels 1-4 on owned fibers ---------------------
     LBMIB_RACE_CHECK(race::context("cube solver: spread phase");)
     {
@@ -161,6 +174,7 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
         LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
                          kernel_short_name(Kernel::kSpreadForce));
         for (const auto& [s, f] : my_fibers) {
+          if (fused) footprint_.mark(structure_[s], f, f + 1, stamp);
           cube_spread_force(structure_[s], grid_, dist_, locks_, f, f + 1);
         }
       }
@@ -232,7 +246,13 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
           cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
         }
       }
-      for (Size cube : my_cubes) cube_update_velocity(grid_, cube);
+      Size nodes = 0;
+      for (Size cube : my_cubes) {
+        if (!in_footprint(cube)) continue;
+        cube_update_velocity(grid_, cube);
+        nodes += grid_.nodes_per_cube();
+      }
+      count_velocity_update(nodes);
       prof.add(Kernel::kUpdateVelocity, seconds_between(t0, Clock::now()));
     }
     board.beat("cube:barrier:update");
@@ -264,7 +284,9 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
                            : kernel_short_name(Kernel::kCopyDistribution));
       auto t0 = Clock::now();
       for (Size cube : my_cubes) {
-        if (!params_.fused_step) cube_copy_distributions(grid_, cube);
+        if (!fused) cube_copy_distributions(grid_, cube);
+        // Off the footprint the force field already holds the body force.
+        if (!in_footprint(cube)) continue;
         // The reset below writes the force slots directly, bypassing the
         // hooked add_force accessors.
         LBMIB_RACE_CHECK(race::access(&grid_, cube, RaceField::kForce,
@@ -296,7 +318,12 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
     barrier_->arrive_and_wait();  // paper barrier #3 (end of step)
     LBMIB_ACCESS_CHECK(access_checker_->advance_phase(StepPhase::kSpread);)
 
-    if (tid == 0) ++steps_completed_;
+    if (tid == 0) {
+      // Only thread 0 touches the solver's bookkeeping; the others
+      // derive their stamps from first_stamp.
+      ++steps_completed_;
+      if (fused) finish_fused_steps(stamp);
+    }
     if (observer && ((step + 1) % observer_interval == 0)) {
       if (tid == 0) observer(*this, steps_completed_ - 1);
       barrier_->arrive_and_wait();
@@ -306,9 +333,10 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
 
 void CubeSolver::run_loop(Index num_steps, const StepObserver& observer,
                           Index observer_interval) {
+  const IbFootprint::Stamp first_stamp = footprint_stamp_ + 1;
   ThreadTeam team(params_.num_threads);
   team.run([&](int tid) {
-    thread_entry(tid, num_steps, observer, observer_interval);
+    thread_entry(tid, num_steps, first_stamp, observer, observer_interval);
   });
 
   // Fold per-thread times into the aggregate profiler: charge the slowest
@@ -333,8 +361,17 @@ void CubeSolver::run(Index num_steps, const StepObserver& observer,
   run_loop(num_steps, observer, observer_interval);
 }
 
-void CubeSolver::snapshot_fluid(FluidGrid& out) const {
-  grid_.to_planar(out);
+Size CubeSolver::recompute_stale_macroscopic() const {
+  // Runs outside the step protocol — between runs, or from the step
+  // observer on worker 0 while every other worker is parked at the
+  // observer barrier — so it is not an owner-phase kernel: detach the
+  // ownership checker for its duration.
+  AccessChecker* const checker = grid_.access_checker();
+  grid_.attach_access_checker(nullptr);
+  const Size nodes =
+      cube_materialize_off_footprint(grid_, footprint_, footprint_stamp_);
+  grid_.attach_access_checker(checker);
+  return nodes;
 }
 
 }  // namespace lbmib

@@ -46,35 +46,49 @@ class CubeSolver final : public Solver {
   void step() override;
   void run(Index num_steps, const StepObserver& observer = nullptr,
            Index observer_interval = 1) override;
-  void snapshot_fluid(FluidGrid& out) const override;
   std::string name() const override { return "cube"; }
 
   std::vector<KernelProfiler> per_thread_profiles() const override {
     return thread_profiles_;
   }
 
-  CubeGrid& cubes() { return grid_; }
-  const CubeGrid& cubes() const { return grid_; }
+  /// The cube grid with rho/u materialized.
+  CubeGrid& cubes() {
+    materialize_macroscopic();
+    return grid_;
+  }
+  const CubeGrid& cubes() const {
+    materialize_macroscopic();
+    return grid_;
+  }
   const CubeDistribution& distribution() const { return dist_; }
   const ThreadMesh& thread_mesh() const { return mesh_; }
 
  private:
+  /// Adopt the snapshot with the force field reset: this solver resets
+  /// forces at the end of each step, so a step starts from the body force.
   void restore_fluid(const FluidGrid& fluid) override {
     grid_.from_planar(fluid);
+    grid_.reset_forces(params_.body_force);
   }
+  void copy_fluid(FluidGrid& out) const override { grid_.to_planar(out); }
+  Size recompute_stale_macroscopic() const override;
 
   /// Shared tail of both constructors: owned-cube/fiber lists + forces.
   void finish_construction(DistributionPolicy policy);
 
   /// Body of the paper's Thread_entry_fn for `num_steps` steps.
-  void thread_entry(int tid, Index num_steps, const StepObserver& observer,
-                    Index observer_interval);
+  void thread_entry(int tid, Index num_steps, IbFootprint::Stamp first_stamp,
+                    const StepObserver& observer, Index observer_interval);
 
   /// Execute `num_steps` steps with a freshly launched persistent team.
   void run_loop(Index num_steps, const StepObserver& observer,
                 Index observer_interval);
 
-  CubeGrid grid_;
+  /// mutable: rho/u are a cache materialize_macroscopic fills on demand.
+  mutable CubeGrid grid_;
+  /// Fused pipeline: the IB footprint in cube columns (block = cube edge).
+  IbFootprint footprint_;
   ThreadMesh mesh_;
   CubeDistribution dist_;
   std::unique_ptr<Barrier> barrier_;

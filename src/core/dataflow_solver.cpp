@@ -38,6 +38,7 @@ std::int64_t encode_update(Size cube) {
 DataflowCubeSolver::DataflowCubeSolver(const SimulationParams& params)
     : Solver(params),
       grid_(params),
+      footprint_(params.nx, params.ny, grid_.cube_size()),
       barrier_(params.num_threads),
       thread_profiles_(static_cast<Size>(params.num_threads)),
       tasks_executed_(static_cast<Size>(params.num_threads), 0) {
@@ -93,6 +94,7 @@ void DataflowCubeSolver::arm_step() {
 }
 
 void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
+                                      IbFootprint::Stamp first_stamp,
                                       const StepObserver& observer,
                                       Index observer_interval) {
   using Clock = std::chrono::steady_clock;
@@ -102,6 +104,11 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
   KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
   const Size total_tasks = 2 * grid_.num_cubes();
   const Size nfibers = fiber_list_.size();
+  // Fused pipeline (DESIGN.md §11): an update task runs kernel 7 and the
+  // force reset only on a cube of this step's IB footprint (cube column
+  // = cube id / cubes_z).
+  const bool fused = params_.fused_step;
+  const Size cubes_z = static_cast<Size>(grid_.cubes_z());
 
   ProgressBoard& board = ProgressBoard::global();
 
@@ -110,6 +117,9 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
     board.beat("dataflow:step:start");
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
                      static_cast<std::int64_t>(step));
+    const IbFootprint::Stamp stamp =
+        first_stamp + static_cast<IbFootprint::Stamp>(step);
+    Size updated_nodes = 0;
     // --- fiber force phase: kernels 1-4 fused per fiber, self-scheduled
     LBMIB_RACE_CHECK(race::context("dataflow solver: spread phase");)
     {
@@ -124,6 +134,7 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
         compute_bending_force(sheet, f, f + 1);
         compute_stretching_force(sheet, f, f + 1);
         compute_elastic_force(sheet, f, f + 1);
+        if (fused) footprint_.mark(sheet, f, f + 1, stamp);
         cube_spread_force_atomic(sheet, grid_, f, f + 1);
       }
       prof.add(Kernel::kSpreadForce, since(t0));
@@ -234,8 +245,12 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
           if (uses_inlet_outlet(params_.boundary)) {
             cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
           }
+          // Off the footprint rho/u go stale and F already holds the
+          // body force.
+          if (fused && !footprint_.covered(cube / cubes_z, stamp)) continue;
           cube_update_velocity(grid_, cube);
-          if (!params_.fused_step) cube_copy_distributions(grid_, cube);
+          updated_nodes += grid_.nodes_per_cube();
+          if (!fused) cube_copy_distributions(grid_, cube);
           // Reset forces for the next step's spreading (raw slot writes,
           // bypassing the hooked add_force accessors).
           LBMIB_RACE_CHECK(race::access(&grid_, cube, RaceField::kForce,
@@ -252,6 +267,7 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
         }
       }
       prof.add(Kernel::kCollision, since(t0));
+      count_velocity_update(updated_nodes);
     }
     board.beat("dataflow:barrier:tasks-done");
     if (chaos::enabled()) {
@@ -282,9 +298,10 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
       // once per step. Safe here: the "positions settled" barrier is
       // behind every thread and nobody touches the grid until the
       // re-arm barrier below publishes the flip.
-      if (params_.fused_step) {
+      if (fused) {
         LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "swap_df");
         grid_.swap_df_buffers();
+        finish_fused_steps(stamp);
       }
       ++steps_completed_;
       arm_step();
@@ -431,16 +448,18 @@ void DataflowCubeSolver::run_overlapped(Index num_steps) {
         }
       } else {
         if (params_.fused_step) {
+          // Fiber-free: the IB footprint is empty, so kernel 7 has no
+          // node to compute — every rho/u stays stale until read.
           if (uses_inlet_outlet(params_.boundary)) {
             cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube,
                                     dst_base);
           }
-          cube_update_velocity(grid_, cube, dst_base);
         } else {
           if (uses_inlet_outlet(params_.boundary)) {
             cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
           }
           cube_update_velocity(grid_, cube);
+          count_velocity_update(grid_.nodes_per_cube());
           cube_copy_distributions(grid_, cube);
         }
         if (step + 1 < static_cast<Size>(num_steps)) {
@@ -472,6 +491,8 @@ void DataflowCubeSolver::run_overlapped(Index num_steps) {
     // Reconcile the grid's bases with where the last step left the data:
     // step num_steps-1 wrote its result at parity p0 ^ (num_steps & 1).
     grid_.set_swap_parity(p0 != ((num_steps & 1) != 0));
+    finish_fused_steps(footprint_stamp_ +
+                       static_cast<IbFootprint::Stamp>(num_steps));
   }
   steps_completed_ += num_steps;
   // Leave the per-step machinery armed for subsequent stepwise runs.
@@ -481,9 +502,10 @@ void DataflowCubeSolver::run_overlapped(Index num_steps) {
 void DataflowCubeSolver::run_loop(Index num_steps,
                                   const StepObserver& observer,
                                   Index observer_interval) {
+  const IbFootprint::Stamp first_stamp = footprint_stamp_ + 1;
   ThreadTeam team(params_.num_threads);
   team.run([&](int tid) {
-    thread_entry(tid, num_steps, observer, observer_interval);
+    thread_entry(tid, num_steps, first_stamp, observer, observer_interval);
   });
   // Aggregate profiler: max across threads per kernel.
   for (int k = 0; k < kNumKernels; ++k) {
@@ -513,8 +535,8 @@ void DataflowCubeSolver::run(Index num_steps, const StepObserver& observer,
   run_loop(num_steps, observer, observer_interval);
 }
 
-void DataflowCubeSolver::snapshot_fluid(FluidGrid& out) const {
-  grid_.to_planar(out);
+Size DataflowCubeSolver::recompute_stale_macroscopic() const {
+  return cube_materialize_off_footprint(grid_, footprint_, footprint_stamp_);
 }
 
 }  // namespace lbmib

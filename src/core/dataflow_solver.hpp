@@ -53,15 +53,21 @@ class DataflowCubeSolver final : public Solver {
   void step() override;
   void run(Index num_steps, const StepObserver& observer = nullptr,
            Index observer_interval = 1) override;
-  void snapshot_fluid(FluidGrid& out) const override;
   std::string name() const override { return "dataflow"; }
 
   std::vector<KernelProfiler> per_thread_profiles() const override {
     return thread_profiles_;
   }
 
-  CubeGrid& cubes() { return grid_; }
-  const CubeGrid& cubes() const { return grid_; }
+  /// The cube grid with rho/u materialized.
+  CubeGrid& cubes() {
+    materialize_macroscopic();
+    return grid_;
+  }
+  const CubeGrid& cubes() const {
+    materialize_macroscopic();
+    return grid_;
+  }
 
   /// Tasks executed by each thread in the last run (load-balance probe).
   const std::vector<Size>& tasks_executed() const {
@@ -69,12 +75,17 @@ class DataflowCubeSolver final : public Solver {
   }
 
  private:
+  /// Adopt the snapshot with the force field reset: update tasks reset
+  /// forces as they retire a cube, so a step starts from the body force.
   void restore_fluid(const FluidGrid& fluid) override {
     grid_.from_planar(fluid);
+    grid_.reset_forces(params_.body_force);
   }
+  void copy_fluid(FluidGrid& out) const override { grid_.to_planar(out); }
+  Size recompute_stale_macroscopic() const override;
 
-  void thread_entry(int tid, Index num_steps, const StepObserver& observer,
-                    Index observer_interval);
+  void thread_entry(int tid, Index num_steps, IbFootprint::Stamp first_stamp,
+                    const StepObserver& observer, Index observer_interval);
   void run_loop(Index num_steps, const StepObserver& observer,
                 Index observer_interval);
 
@@ -85,7 +96,10 @@ class DataflowCubeSolver final : public Solver {
   /// Fiber-free cross-step pipeline: all steps as one task graph.
   void run_overlapped(Index num_steps);
 
-  CubeGrid grid_;
+  /// mutable: rho/u are a cache materialize_macroscopic fills on demand.
+  mutable CubeGrid grid_;
+  /// Fused pipeline: the IB footprint in cube columns (block = cube edge).
+  IbFootprint footprint_;
   BlockingBarrier barrier_;
 
   // --- dataflow state -------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "ib/fiber_forces.hpp"
+#include "ib/footprint.hpp"
 #include "ib/spreading.hpp"
 #include "lbm/boundary.hpp"
 #include "lbm/collision.hpp"
@@ -177,6 +178,9 @@ Distributed2DSolver::Distributed2DSolver(const SimulationParams& params,
       rank.grid->set_lid_velocity(params.lid_velocity);
     }
     rank.grid->reset_forces(params.body_force);
+    rank.footprint =
+        IbFootprint(params.nx, params.ny, 1, rank.tile.x_lo, rank.tile.x_hi,
+                    rank.tile.y_lo, rank.tile.y_hi);
     rank.structure = make_structure(params);
     // One link per distinct neighbour rank: part p travels to the rank
     // at (tx + dx, ty + dy) and arrives from the one at (tx - dx, ty - dy).
@@ -434,7 +438,7 @@ void Distributed2DSolver::move_fibers_allreduce(Rank& r, int rank) {
   }
 }
 
-void Distributed2DSolver::rank_entry(int rank, Index first_step,
+void Distributed2DSolver::rank_entry(int rank, const RunStart& start,
                                      Index num_steps,
                                      const StepObserver& observer,
                                      Index observer_interval) {
@@ -459,6 +463,19 @@ void Distributed2DSolver::rank_entry(int rank, Index first_step,
         begin + static_cast<Size>(lny) * static_cast<Size>(grid.nz());
     return std::pair<Size, Size>{begin, end};
   };
+  // Fused pipeline (DESIGN.md §11): the force reset and kernel 7 touch
+  // only the tile rows of the IB footprint. Local x-row lx holds the
+  // footprint columns [(lx-1) * lny, lx * lny).
+  const bool fused = params_.fused_step;
+  const Size tile_cols = static_cast<Size>(lny);
+  auto over_tile_rows = [&](auto&& pass) {
+    Size nodes = 0;
+    for (Index lx = 1; lx <= lnx; ++lx) {
+      const Size c0 = static_cast<Size>(lx - 1) * tile_cols;
+      nodes += pass(c0, c0 + tile_cols, row_range(lx).first);
+    }
+    return nodes;
+  };
 
   ProgressBoard& board = ProgressBoard::global();
   for (Index step = 0; step < num_steps; ++step) {
@@ -466,6 +483,8 @@ void Distributed2DSolver::rank_entry(int rank, Index first_step,
                      static_cast<std::int64_t>(step));
     cancel_point(labels_->step);
     board.beat(labels_->step_start);
+    const IbFootprint::Stamp stamp =
+        start.stamp + static_cast<IbFootprint::Stamp>(step);
     {  // kernels 1-4 on the replica, spread into own tile only
       LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "fiber_forces_spread");
       auto t0 = Clock::now();
@@ -474,7 +493,19 @@ void Distributed2DSolver::rank_entry(int rank, Index first_step,
         compute_stretching_force(sheet, 0, sheet.num_fibers());
         compute_elastic_force(sheet, 0, sheet.num_fibers());
       }
-      grid.reset_forces(params_.body_force);
+      if (fused && (step > 0 || start.forces_tracked)) {
+        over_tile_rows([&](Size c0, Size c1, Size node) {
+          return reset_forces_on_footprint(grid, r.footprint, stamp - 1, c0,
+                                           c1, node, params_.body_force);
+        });
+      } else {
+        grid.reset_forces(params_.body_force);
+      }
+      if (fused) {
+        for (const FiberSheet& sheet : r.structure) {
+          r.footprint.mark(sheet, 0, sheet.num_fibers(), stamp);
+        }
+      }
       spread_forces_local(r);
       prof.add(Kernel::kSpreadForce, since(t0));
     }
@@ -515,7 +546,7 @@ void Distributed2DSolver::rank_entry(int rank, Index first_step,
       auto t0 = Clock::now();
       board.beat(labels_->halo);
       if (chaos::enabled()) chaos::sync_point(labels_->halo, rank, step);
-      exchange_halos(rank, first_step + step);
+      exchange_halos(rank, start.step + step);
       prof.add(Kernel::kStreaming, since(t0));
     }
     {  // kernel 7 (+ boundary pass)
@@ -525,9 +556,20 @@ void Distributed2DSolver::rank_entry(int rank, Index first_step,
       if (uses_inlet_outlet(params_.boundary)) {
         apply_inlet_outlet_local(r, rank);
       }
-      for (Index lx = 1; lx <= lnx; ++lx) {
-        const auto [begin, end] = row_range(lx);
-        update_velocity_range(grid, begin, end);
+      if (fused) {
+        count_velocity_update(
+            over_tile_rows([&](Size c0, Size c1, Size node) {
+              return update_velocity_on_footprint(grid, r.footprint, stamp,
+                                                  c0, c1, node);
+            }));
+      } else {
+        Size nodes = 0;
+        for (Index lx = 1; lx <= lnx; ++lx) {
+          const auto [begin, end] = row_range(lx);
+          update_velocity_range(grid, begin, end);
+          nodes += end - begin;
+        }
+        count_velocity_update(nodes);
       }
       prof.add(Kernel::kUpdateVelocity, since(t0));
     }
@@ -563,7 +605,12 @@ void Distributed2DSolver::rank_entry(int rank, Index first_step,
 
     board.beat(labels_->step_end);
     barrier_.arrive_and_wait();
-    if (rank == 0) ++steps_completed_;
+    if (rank == 0) {
+      // Only rank 0 touches the solver's bookkeeping; the others derive
+      // their stamps from `start`.
+      ++steps_completed_;
+      if (fused) finish_fused_steps(stamp);
+    }
     if (observer && ((step + 1) % observer_interval == 0)) {
       if (rank == 0) {
         structure_ = r.structure;
@@ -577,20 +624,27 @@ void Distributed2DSolver::rank_entry(int rank, Index first_step,
 void Distributed2DSolver::run_loop(Index num_steps,
                                    const StepObserver& observer,
                                    Index observer_interval) {
-  // Halo tags carry the global step parity, fixed before the team starts.
-  const Index first_step = steps_completed_;
+  // Halo tags carry the global step parity, fixed before the team starts,
+  // as are the footprint stamps and the force-tracking state.
+  const RunStart start{steps_completed_, footprint_stamp_ + 1,
+                       forces_tracked_};
   ThreadTeam team(params_.num_threads);
   team.run([&](int rank) {
-    rank_entry(rank, first_step, num_steps, observer, observer_interval);
+    rank_entry(rank, start, num_steps, observer, observer_interval);
   });
   structure_ = ranks_[0].structure;
+  // Rank profiles are cumulative, so every step bucket is rebuilt from
+  // them; materialize_macroscopic charges profiler_ directly.
   KernelProfiler merged;
   for (int k = 0; k < kNumKernels; ++k) {
+    const auto kernel = static_cast<Kernel>(k);
     double max_time = 0.0;
     for (const KernelProfiler& p : rank_profiles_) {
-      max_time = std::max(max_time, p.seconds(static_cast<Kernel>(k)));
+      max_time = std::max(max_time, p.seconds(kernel));
     }
-    merged.add(static_cast<Kernel>(k), max_time);
+    merged.add(kernel, kernel == Kernel::kMaterializeMacroscopic
+                           ? profiler_.seconds(kernel)
+                           : max_time);
   }
   profiler_ = merged;
 }
@@ -640,7 +694,22 @@ void Distributed2DSolver::restore_state(const FluidGrid& fluid,
   for (Rank& r : ranks_) r.structure = structure_;
 }
 
-void Distributed2DSolver::snapshot_fluid(FluidGrid& out) const {
+Size Distributed2DSolver::recompute_stale_macroscopic() const {
+  Size nodes = 0;
+  for (const Rank& r : ranks_) {
+    const Index lnx = r.tile.x_hi - r.tile.x_lo;
+    const Size lny = static_cast<Size>(r.tile.y_hi - r.tile.y_lo);
+    for (Index lx = 1; lx <= lnx; ++lx) {
+      const Size c0 = static_cast<Size>(lx - 1) * lny;
+      nodes += materialize_velocity_off_footprint(
+          *r.grid, r.footprint, footprint_stamp_, c0, c0 + lny,
+          r.grid->index(lx, 1, 0));
+    }
+  }
+  return nodes;
+}
+
+void Distributed2DSolver::copy_fluid(FluidGrid& out) const {
   require(out.nx() == params_.nx && out.ny() == params_.ny &&
               out.nz() == params_.nz,
           "snapshot grid dimensions do not match");

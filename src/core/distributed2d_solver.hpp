@@ -58,7 +58,6 @@ class Distributed2DSolver final : public Solver {
   void step() override;
   void run(Index num_steps, const StepObserver& observer = nullptr,
            Index observer_interval = 1) override;
-  void snapshot_fluid(FluidGrid& out) const override;
   void restore_state(const FluidGrid& fluid, const Structure& structure,
                      Index step) override;
   std::string name() const override {
@@ -96,6 +95,7 @@ class Distributed2DSolver final : public Solver {
   struct Rank {
     Tile tile;
     std::unique_ptr<FluidGrid> grid;  // (lnx+2) x (lny+2) x nz w/ ghosts
+    IbFootprint footprint;            // over the tile, block 1
     Structure structure;              // replica
     std::vector<Link> links;
     HaloTraffic sent;
@@ -111,8 +111,17 @@ class Distributed2DSolver final : public Solver {
   };
 
   void restore_fluid(const FluidGrid& fluid) override;
+  void copy_fluid(FluidGrid& out) const override;
+  Size recompute_stale_macroscopic() const override;
 
-  void rank_entry(int rank, Index first_step, Index num_steps,
+  /// Where a run starts: its first global step (halo tag parity), its
+  /// first footprint stamp, and whether the force field is tracked.
+  struct RunStart {
+    Index step;
+    IbFootprint::Stamp stamp;
+    bool forces_tracked;
+  };
+  void rank_entry(int rank, const RunStart& start, Index num_steps,
                   const StepObserver& observer, Index observer_interval);
   void run_loop(Index num_steps, const StepObserver& observer,
                 Index observer_interval);

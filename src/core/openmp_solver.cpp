@@ -6,6 +6,7 @@
 
 #include "common/timer.hpp"
 #include "ib/fiber_forces.hpp"
+#include "ib/footprint.hpp"
 #include "ib/interpolation.hpp"
 #include "ib/spreading.hpp"
 #include "lbm/boundary.hpp"
@@ -24,6 +25,7 @@ namespace lbmib {
 OpenMPSolver::OpenMPSolver(const SimulationParams& params)
     : Solver(params),
       grid_(params),
+      footprint_(params.nx, params.ny),
       thread_profiles_(static_cast<Size>(params.num_threads)) {}
 
 namespace {
@@ -55,6 +57,14 @@ void OpenMPSolver::step() {
   const Index nx = grid_.nx();
   const Size plane = static_cast<Size>(grid_.ny()) *
                      static_cast<Size>(grid_.nz());
+  // Fused pipeline: reset forces on the previous step's IB footprint only
+  // (the whole field after construction or restore), and compute rho/u on
+  // this step's footprint only (DESIGN.md §11). Decided before the region
+  // so every thread sees the same values.
+  const bool fused = params_.fused_step;
+  const bool reset_footprint_only = fused && forces_tracked_;
+  const IbFootprint::Stamp prev_stamp = footprint_stamp_;
+  const IbFootprint::Stamp stamp = footprint_stamp_ + 1;
 
   // Reset forces before spreading (part of kernel 4's cost, like the
   // sequential program).
@@ -117,6 +127,11 @@ void OpenMPSolver::step() {
     const Range slabs = block_range(nx, tid, nthreads);
     const Size node_begin = static_cast<Size>(slabs.begin) * plane;
     const Size node_end = static_cast<Size>(slabs.end) * plane;
+    // This thread's rows of the footprint (row id x * ny + y).
+    const Size row_begin =
+        static_cast<Size>(slabs.begin) * static_cast<Size>(grid_.ny());
+    const Size row_end =
+        static_cast<Size>(slabs.end) * static_cast<Size>(grid_.ny());
     // Per-sheet fiber ranges owned by this thread (Algorithm 3 style).
     auto my_fibers = [&](const FiberSheet& sheet) {
       return block_range(sheet.num_fibers(), tid, nthreads);
@@ -146,11 +161,14 @@ void OpenMPSolver::step() {
     team_barrier();
     timed(tid, Kernel::kSpreadForce, [&] {
       // Reset this thread's slab of the force field, then spread this
-      // thread's fibers with atomic accumulation.
-      for (Size node = node_begin; node < node_end; ++node) {
-        grid_.fx(node) = params_.body_force.x;
-        grid_.fy(node) = params_.body_force.y;
-        grid_.fz(node) = params_.body_force.z;
+      // thread's fibers with atomic accumulation. The barrier also orders
+      // every reset (which reads the previous footprint's stamps) before
+      // any thread marks this step's footprint.
+      if (reset_footprint_only) {
+        reset_forces_on_footprint(grid_, footprint_, prev_stamp, row_begin,
+                                  row_end, node_begin, params_.body_force);
+      } else {
+        grid_.reset_forces(params_.body_force, node_begin, node_end);
       }
       LBMIB_RACE_CHECK(race::access_range(
           &grid_, static_cast<Size>(slabs.begin),
@@ -159,6 +177,7 @@ void OpenMPSolver::step() {
       team_barrier();
       for (const FiberSheet& sheet : structure_) {
         const Range r = my_fibers(sheet);
+        if (fused) footprint_.mark(sheet, r.begin, r.end, stamp);
         spread_force_atomic(sheet, grid_, r.begin, r.end);
       }
     });
@@ -200,7 +219,13 @@ void OpenMPSolver::step() {
         apply_inlet_outlet(grid_, params_.inlet_velocity, slabs.begin,
                            slabs.end);
       }
-      update_velocity_range(grid_, node_begin, node_end);
+      if (fused) {
+        count_velocity_update(update_velocity_on_footprint(
+            grid_, footprint_, stamp, row_begin, row_end, node_begin));
+      } else {
+        update_velocity_range(grid_, node_begin, node_end);
+        count_velocity_update(node_end - node_begin);
+      }
     });
     team_barrier();
     timed(tid, Kernel::kMoveFibers, [&] {
@@ -228,6 +253,7 @@ void OpenMPSolver::step() {
     WallTimer timer;
     grid_.swap_buffers();
     thread_profiles_[0].add(Kernel::kCopyDistribution, timer.seconds());
+    finish_fused_steps(stamp);
   }
 
   // Merge per-thread time into the aggregate profiler: charge the
@@ -247,8 +273,11 @@ void OpenMPSolver::step() {
   ++steps_completed_;
 }
 
-void OpenMPSolver::snapshot_fluid(FluidGrid& out) const {
-  out.copy_from(grid_);
+Size OpenMPSolver::recompute_stale_macroscopic() const {
+  const Size rows = static_cast<Size>(grid_.nx()) *
+                    static_cast<Size>(grid_.ny());
+  return materialize_velocity_off_footprint(grid_, footprint_,
+                                            footprint_stamp_, 0, rows, 0);
 }
 
 }  // namespace lbmib

@@ -21,23 +21,34 @@ class OpenMPSolver final : public Solver {
   explicit OpenMPSolver(const SimulationParams& params);
 
   void step() override;
-  void snapshot_fluid(FluidGrid& out) const override;
-  const FluidGrid* planar_fluid() const override { return &grid_; }
   std::string name() const override { return "openmp"; }
 
   std::vector<KernelProfiler> per_thread_profiles() const override {
     return thread_profiles_;
   }
 
-  FluidGrid& fluid() { return grid_; }
-  const FluidGrid& fluid() const { return grid_; }
+  /// The planar grid with rho/u materialized; see SequentialSolver::fluid.
+  FluidGrid& fluid() {
+    materialize_macroscopic();
+    forces_tracked_ = false;
+    return grid_;
+  }
+  const FluidGrid& fluid() const {
+    materialize_macroscopic();
+    return grid_;
+  }
 
  private:
   void restore_fluid(const FluidGrid& fluid) override {
     grid_.copy_from(fluid);
   }
+  void copy_fluid(FluidGrid& out) const override { out.copy_from(grid_); }
+  const FluidGrid* planar_grid() const override { return &grid_; }
+  Size recompute_stale_macroscopic() const override;
 
-  FluidGrid grid_;
+  /// mutable: rho/u are a cache materialize_macroscopic fills on demand.
+  mutable FluidGrid grid_;
+  IbFootprint footprint_;  ///< rows of grid_
   std::vector<KernelProfiler> thread_profiles_;
   // Cumulative per-kernel max-over-threads time already merged into the
   // aggregate profiler (thread profiles are cumulative across steps).

@@ -1,6 +1,7 @@
 #include "core/sequential_solver.hpp"
 
 #include "ib/fiber_forces.hpp"
+#include "ib/footprint.hpp"
 #include "ib/interpolation.hpp"
 #include "ib/spreading.hpp"
 #include "lbm/boundary.hpp"
@@ -16,7 +17,7 @@
 namespace lbmib {
 
 SequentialSolver::SequentialSolver(const SimulationParams& params)
-    : Solver(params), grid_(params) {}
+    : Solver(params), grid_(params), footprint_(params.nx, params.ny) {}
 
 void SequentialSolver::step() {
   // Step boundary = the sequential solver's only cancellation point and
@@ -28,6 +29,10 @@ void SequentialSolver::step() {
     chaos::sync_point("sequential:step", 0, steps_completed_);
   }
   const Size n = grid_.num_nodes();
+  const Size rows = static_cast<Size>(grid_.nx()) *
+                    static_cast<Size>(grid_.ny());
+  // Fused pipeline: this step's IB footprint (DESIGN.md §11).
+  const IbFootprint::Stamp stamp = footprint_stamp_ + 1;
   LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
                    static_cast<std::int64_t>(steps_completed_));
 
@@ -60,8 +65,17 @@ void SequentialSolver::step() {
     KernelProfiler::Scope scope(profiler_, Kernel::kSpreadForce);
     LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
                      kernel_short_name(Kernel::kSpreadForce));
-    grid_.reset_forces(params_.body_force);
+    if (params_.fused_step && forces_tracked_) {
+      // Only the previous step's footprint holds spread forces.
+      reset_forces_on_footprint(grid_, footprint_, footprint_stamp_, 0,
+                                rows, 0, params_.body_force);
+    } else {
+      grid_.reset_forces(params_.body_force);
+    }
     for (const FiberSheet& sheet : structure_) {
+      if (params_.fused_step) {
+        footprint_.mark(sheet, 0, sheet.num_fibers(), stamp);
+      }
       spread_force(sheet, grid_, 0, sheet.num_fibers());
     }
   }
@@ -102,7 +116,14 @@ void SequentialSolver::step() {
     if (uses_inlet_outlet(params_.boundary)) {
       apply_inlet_outlet(grid_, params_.inlet_velocity, 0, grid_.nx());
     }
-    update_velocity_range(grid_, 0, n);
+    if (params_.fused_step) {
+      // Only move_fibers reads u inside the step; the rest goes stale.
+      count_velocity_update(
+          update_velocity_on_footprint(grid_, footprint_, stamp, 0, rows, 0));
+    } else {
+      update_velocity_range(grid_, 0, n);
+      count_velocity_update(n);
+    }
   }
   {
     KernelProfiler::Scope scope(profiler_, Kernel::kMoveFibers);
@@ -128,11 +149,15 @@ void SequentialSolver::step() {
     }
   }
 
+  if (params_.fused_step) finish_fused_steps(stamp);
   ++steps_completed_;
 }
 
-void SequentialSolver::snapshot_fluid(FluidGrid& out) const {
-  out.copy_from(grid_);
+Size SequentialSolver::recompute_stale_macroscopic() const {
+  const Size rows = static_cast<Size>(grid_.nx()) *
+                    static_cast<Size>(grid_.ny());
+  return materialize_velocity_off_footprint(grid_, footprint_,
+                                            footprint_stamp_, 0, rows, 0);
 }
 
 }  // namespace lbmib

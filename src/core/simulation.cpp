@@ -219,6 +219,22 @@ perfmodel::RooflineReport Simulation::roofline_report() const {
     points += static_cast<double>(sheet.num_nodes());
   }
 
+  // Work units per kernel. Kernel 7 is charged the nodes it computed
+  // rho/u for (the IB footprint under the fused pipeline, where a
+  // nodes-times-steps count would inflate its GB/s past the roof), the
+  // on-demand recompute the nodes it recomputed; every other kernel
+  // sweeps the whole grid or structure once per step.
+  auto units_of = [&](Kernel k) {
+    switch (k) {
+      case Kernel::kUpdateVelocity:
+        return solver_->velocity_update_nodes();
+      case Kernel::kMaterializeMacroscopic:
+        return solver_->materialized_nodes();
+      default:
+        return (is_node_kernel(k) ? nodes : points) * steps;
+    }
+  };
+
   // Seconds of the critical (slowest) thread per kernel: roofline
   // achieved-GB/s is per-socket traffic over the wall time the kernel
   // actually gated, and the per-thread max is that wall time under the
@@ -236,7 +252,7 @@ perfmodel::RooflineReport Simulation::roofline_report() const {
     perfmodel::KernelMeasurement m;
     m.name = roofline_span_name(kernel, p.fused_step);
     m.seconds = max_s;
-    m.units = (is_node_kernel(kernel) ? nodes : points) * steps;
+    m.units = units_of(kernel);
     ms.push_back(std::move(m));
   }
 
@@ -263,13 +279,28 @@ perfmodel::RooflineReport Simulation::roofline_report() const {
       extra.name = kc.name;
       extra.seconds =
           kc.value[static_cast<int>(obs::PerfEvent::kTaskClock)] / 1e9;
+      // The dataflow update task runs kernel 7 (it visits every cube,
+      // but computes rho/u only on the footprint's cubes when fused).
       extra.units =
-          (std::string("node") == traffic->unit ? nodes : points) * steps;
+          kc.name == "task.update_copy"
+              ? units_of(Kernel::kUpdateVelocity)
+              : (std::string("node") == traffic->unit ? nodes : points) *
+                    steps;
       ms.push_back(std::move(extra));
       row = &ms.back();
     }
+    const obs::PerfAvailability& granted = obs::PerfCounters::availability();
+    auto granted_event = [&](obs::PerfEvent e) {
+      return granted.event[static_cast<Size>(e)];
+    };
     row->spans = kc.spans;
     row->has_counters = true;
+    row->has_cycles = granted_event(obs::PerfEvent::kCycles);
+    row->has_instructions = granted_event(obs::PerfEvent::kInstructions);
+    row->has_llc = granted_event(obs::PerfEvent::kLlcReferences) &&
+                   granted_event(obs::PerfEvent::kLlcMisses);
+    row->has_stalled_backend =
+        granted_event(obs::PerfEvent::kStalledBackend);
     row->cycles = kc.cycles();
     row->instructions = kc.instructions();
     row->llc_references =

@@ -1,11 +1,13 @@
 #include "core/solver.hpp"
 
 #include "common/error.hpp"
+#include "common/timer.hpp"
 #include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
 #include "core/openmp_solver.hpp"
 #include "core/sequential_solver.hpp"
+#include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
 
 namespace lbmib {
@@ -35,6 +37,20 @@ void Solver::restore_state(const FluidGrid& fluid,
   structure_ = structure;
   restore_fluid(fluid);
   steps_completed_ = step;
+  // The restored rho/u are taken as they are; the restored force field
+  // may carry any footprint's spread forces.
+  macroscopic_stale_ = false;
+  forces_tracked_ = false;
+}
+
+void Solver::materialize_macroscopic() const {
+  if (!macroscopic_stale_) return;
+  LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
+                   kernel_short_name(Kernel::kMaterializeMacroscopic));
+  const WallTimer timer;
+  materialized_nodes_ += static_cast<double>(recompute_stale_macroscopic());
+  macroscopic_stale_ = false;
+  profiler_.add(Kernel::kMaterializeMacroscopic, timer.seconds());
 }
 
 void Solver::run(Index num_steps, const StepObserver& observer,

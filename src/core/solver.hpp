@@ -9,6 +9,8 @@
 //   * CubeSolver       - cube-centric Pthreads-style version (Section V).
 #pragma once
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -18,6 +20,7 @@
 #include "common/profiler.hpp"
 #include "common/types.hpp"
 #include "ib/fiber_sheet.hpp"
+#include "ib/footprint.hpp"
 #include "lbm/fluid_grid.hpp"
 #include "lbm/mrt.hpp"
 
@@ -45,13 +48,47 @@ class Solver {
                    Index observer_interval = 1);
 
   /// Copy the current fluid state into `out` (planar layout). The planar
-  /// solvers copy their grid; the cube solver converts from cubes.
-  virtual void snapshot_fluid(FluidGrid& out) const = 0;
+  /// solvers copy their grid; the cube solver converts from cubes. Stale
+  /// rho/u are materialized first.
+  void snapshot_fluid(FluidGrid& out) const {
+    materialize_macroscopic();
+    copy_fluid(out);
+  }
 
   /// Direct read access to the fluid state if this solver stores it in
   /// planar layout (sequential, OpenMP); null otherwise — callers then
-  /// fall back to snapshot_fluid. Lets health scans avoid copying.
-  virtual const FluidGrid* planar_fluid() const { return nullptr; }
+  /// fall back to snapshot_fluid. Lets health scans avoid copying. Stale
+  /// rho/u are materialized first.
+  const FluidGrid* planar_fluid() const {
+    materialize_macroscopic();
+    return planar_grid();
+  }
+
+  /// The stale-rho/u contract (DESIGN.md §11). The fused pipeline
+  /// computes rho and u only on the IB footprint, where move_fibers reads
+  /// them; every other node's stored rho/u is stale after a step. This
+  /// recomputes them from the present populations and F with kernel 7's
+  /// arithmetic (bit-identical to the reference pipeline), charged to
+  /// Kernel::kMaterializeMacroscopic and traced as
+  /// "materialize_macroscopic". A no-op when nothing is stale. Every
+  /// reader (snapshot_fluid, planar_fluid, the planar solvers' fluid(),
+  /// the cube solvers' cubes(), and through them health scans,
+  /// checkpoints, VTK and observables)
+  /// calls it; call it directly before reading a solver's grid any other
+  /// way. Not safe against a concurrently stepping solver: readers run
+  /// between steps or from a step observer.
+  void materialize_macroscopic() const;
+
+  /// Nodes kernel 7 computed rho/u for, summed over every step so far:
+  /// the whole grid per step under the reference pipeline, the IB
+  /// footprint under the fused one. The roofline's update_velocity units.
+  double velocity_update_nodes() const {
+    return static_cast<double>(
+        velocity_update_nodes_.load(std::memory_order_relaxed));
+  }
+
+  /// Nodes materialize_macroscopic recomputed, summed over all calls.
+  double materialized_nodes() const { return materialized_nodes_; }
 
   /// Replace the complete simulation state with a previously saved one
   /// (checkpoint rollback): fluid in planar layout, all sheets, and the
@@ -90,12 +127,55 @@ class Solver {
   /// needed). Called by restore_state after the structure is in place.
   virtual void restore_fluid(const FluidGrid& fluid) = 0;
 
+  /// snapshot_fluid without the materialization.
+  virtual void copy_fluid(FluidGrid& out) const = 0;
+
+  /// planar_fluid without the materialization.
+  virtual const FluidGrid* planar_grid() const { return nullptr; }
+
+  /// Recompute rho/u of every node outside the footprint stamped
+  /// footprint_stamp_ from the present populations; returns the number
+  /// of nodes recomputed. Called only while macroscopic_stale_ is set.
+  virtual Size recompute_stale_macroscopic() const = 0;
+
+  /// Bookkeeping after a fused step (or run of steps) whose last
+  /// footprint carries `stamp`: rho/u are stale off that footprint, and
+  /// the force field is body force everywhere off it.
+  void finish_fused_steps(IbFootprint::Stamp stamp) {
+    footprint_stamp_ = stamp;
+    forces_tracked_ = true;
+    macroscopic_stale_ = true;
+  }
+
+  /// Add `nodes` to the kernel-7 node count (any thread).
+  void count_velocity_update(Size nodes) {
+    velocity_update_nodes_.fetch_add(nodes, std::memory_order_relaxed);
+  }
+
   SimulationParams params_;
   Structure structure_;  ///< never empty; [0] is the primary sheet
   /// Non-null iff params.collision == kMRT; shared by all kernel phases.
   std::unique_ptr<MrtOperator> mrt_;
-  KernelProfiler profiler_;
+  /// mutable: const readers charge materialize_macroscopic to it.
+  mutable KernelProfiler profiler_;
   Index steps_completed_ = 0;
+
+  // --- fused pipeline: footprint bookkeeping (DESIGN.md §11) -------------
+  /// Stamp of the latest fused step's IB footprint (0 = none yet). Step s
+  /// of a run that starts at stamp b is stamped b + s + 1.
+  IbFootprint::Stamp footprint_stamp_ = 0;
+  /// True when the force field equals the body force everywhere off the
+  /// footprint stamped footprint_stamp_, so the next step may reset
+  /// forces on that footprint only. False after construction and
+  /// restore_state (and after the planar solvers hand out a mutable
+  /// grid): the next step resets the whole field.
+  bool forces_tracked_ = false;
+  /// rho/u off the latest footprint await materialize_macroscopic.
+  mutable bool macroscopic_stale_ = false;
+
+ private:
+  std::atomic<std::uint64_t> velocity_update_nodes_{0};
+  mutable double materialized_nodes_ = 0.0;
 };
 
 /// Which solver implementation to instantiate. kDataflow is the

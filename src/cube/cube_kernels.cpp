@@ -616,6 +616,18 @@ void cube_streamed_moments(const CubeGrid& grid, Size cube, Size local,
 
 }  // namespace
 
+Size cube_materialize_off_footprint(CubeGrid& grid, const IbFootprint& fp,
+                                    IbFootprint::Stamp stamp) {
+  const Size cubes_z = static_cast<Size>(grid.cubes_z());
+  Size nodes = 0;
+  for (Size cube = 0; cube < grid.num_cubes(); ++cube) {
+    if (fp.covered(cube / cubes_z, stamp)) continue;
+    cube_update_velocity(grid, cube, grid.df_slot_base());
+    nodes += grid.nodes_per_cube();
+  }
+  return nodes;
+}
+
 void cube_apply_inlet_outlet(CubeGrid& grid, const Vec3& inlet_velocity,
                              Size cube) {
   cube_apply_inlet_outlet(grid, inlet_velocity, cube,

@@ -14,6 +14,7 @@
 #include "common/types.hpp"
 #include "common/vec3.hpp"
 #include "cube/distribution.hpp"
+#include "ib/footprint.hpp"
 #include "lbm/mrt.hpp"
 #include "parallel/spinlock.hpp"
 
@@ -62,6 +63,14 @@ void cube_update_velocity(CubeGrid& grid, Size cube);
 
 /// Explicit-parity overload: read the streamed field from `df_new_base`.
 void cube_update_velocity(CubeGrid& grid, Size cube, Size df_new_base);
+
+/// The fused pipeline's on-demand rho/u recompute (DESIGN.md §11): kernel
+/// 7 over the present df of every cube whose column (cube id / cubes_z)
+/// the footprint stamped `stamp` did not cover. Off the footprint F is
+/// the body force, both now and when kernel 7 would have run, and df
+/// holds what it would have read as df_new. Returns the nodes recomputed.
+Size cube_materialize_off_footprint(CubeGrid& grid, const IbFootprint& fp,
+                                    IbFootprint::Stamp stamp);
 
 /// Inlet/outlet pass (BoundaryType::kInletOutlet) for one cube: if the
 /// cube touches x = 0, overwrite those nodes' df_new with the equilibrium

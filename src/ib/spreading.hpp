@@ -34,6 +34,10 @@ struct InfluenceDomain {
 /// Compute the influential domain of Lagrangian position `pos`.
 InfluenceDomain influence_domain(const Vec3& pos);
 
+/// InfluenceDomain::base along one axis: floor(coord) - 1, or 0 for a
+/// non-finite or astronomically large coordinate (see influence_domain).
+Index influence_base(Real coord);
+
 /// Spread the elastic forces of fibers [fiber_begin, fiber_end); single
 /// writer (no synchronization).
 void spread_force(const FiberSheet& sheet, FluidGrid& grid,

@@ -2,6 +2,7 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cstring>
 #include <type_traits>
 
@@ -233,6 +234,13 @@ void FluidGrid::reset_forces(const Vec3& constant_force) {
   fx_.fill(constant_force.x);
   fy_.fill(constant_force.y);
   fz_.fill(constant_force.z);
+}
+
+void FluidGrid::reset_forces(const Vec3& constant_force, Size begin,
+                             Size end) {
+  std::fill(fx_.data() + begin, fx_.data() + end, constant_force.x);
+  std::fill(fy_.data() + begin, fy_.data() + end, constant_force.y);
+  std::fill(fz_.data() + begin, fz_.data() + end, constant_force.z);
 }
 
 void FluidGrid::copy_from(const FluidGrid& other) {

@@ -242,6 +242,10 @@ class FluidGrid {
   /// part is the body force driving channel flow).
   void reset_forces(const Vec3& constant_force);
 
+  /// The same on nodes [begin, end) only (a thread's slab, or the rows
+  /// of the fused pipeline's IB footprint).
+  void reset_forces(const Vec3& constant_force, Size begin, Size end);
+
   /// Swap the present and new distribution buffers — kernel 9 of the
   /// fused pipeline (params.fused_step). O(1) where the reference path
   /// memcpys 19 planes; accessors always read the canonical buffer, so

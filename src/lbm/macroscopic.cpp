@@ -62,6 +62,16 @@ inline void moments_block(FluidGrid& grid, const Real* const* planes,
   }
 }
 
+/// Moments of [begin, end) from the 19 direction planes `planes`.
+void moments_range(FluidGrid& grid, const Real* const* planes, Size begin,
+                   Size end) {
+  const std::uint8_t* solid = grid.solid_data();
+  for (Size b = begin; b < end; b += simd::kLaneBlock) {
+    const Size len = std::min<Size>(simd::kLaneBlock, end - b);
+    moments_block(grid, planes, solid, b, len);
+  }
+}
+
 }  // namespace
 
 void update_velocity_range(FluidGrid& grid, Size begin, Size end) {
@@ -77,11 +87,22 @@ void update_velocity_range(FluidGrid& grid, Size begin, Size end) {
                        "update_velocity_range: force read");)
   const Real* planes[kQ];
   for (int i = 0; i < kQ; ++i) planes[i] = grid.df_new_plane(i);
-  const std::uint8_t* solid = grid.solid_data();
-  for (Size b = begin; b < end; b += simd::kLaneBlock) {
-    const Size len = std::min<Size>(simd::kLaneBlock, end - b);
-    moments_block(grid, planes, solid, b, len);
-  }
+  moments_range(grid, planes, begin, end);
+}
+
+void materialize_velocity_range(FluidGrid& grid, Size begin, Size end) {
+  LBMIB_INSTRUMENT(
+      inst::node_range(grid, begin, end, RaceField::kMacro,
+                       RaceAccess::kWrite,
+                       "materialize_velocity_range: macroscopic write");
+      inst::node_range(grid, begin, end, RaceField::kDf, RaceAccess::kRead,
+                       "materialize_velocity_range: present df read");
+      inst::node_range(grid, begin, end, RaceField::kForce,
+                       RaceAccess::kRead,
+                       "materialize_velocity_range: force read");)
+  const Real* planes[kQ];
+  for (int i = 0; i < kQ; ++i) planes[i] = grid.df_plane(i);
+  moments_range(grid, planes, begin, end);
 }
 
 }  // namespace lbmib

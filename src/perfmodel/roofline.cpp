@@ -48,6 +48,9 @@ const std::vector<KernelTraffic>& traffic_table() {
       {"collide", "node", (19 + 3 + 19) * kReal, 260.0},
       {"stream", "node", (19 + 19) * kReal, 0.0},
       {"update_velocity", "node", (19 + 3 + 4) * kReal, 110.0},
+      // Kernel 7's arithmetic over the present df, run on demand for the
+      // rho/u the fused pipeline leaves stale.
+      {"materialize_macroscopic", "node", (19 + 3 + 4) * kReal, 110.0},
       // The dataflow pipeline fuses update_velocity with copy/swap into
       // one cube-local pass over df_new.
       {"task.update_copy", "node", (19 + 3 + 4) * kReal, 110.0},
@@ -67,6 +70,11 @@ std::string format_g(double v, int prec = 2) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.*f", prec, v);
   return buf;
+}
+
+/// A JSON number, or null for a value the run could not measure.
+std::string json_number(const std::optional<double>& v, int prec) {
+  return v ? format_g(*v, prec) : "null";
 }
 
 }  // namespace
@@ -200,14 +208,23 @@ RooflineReport build_roofline(const std::vector<KernelMeasurement>& ms,
     }
     row.has_counters = m.has_counters;
     if (m.has_counters) {
-      report.counters_available = true;
-      if (m.cycles > 0.0) row.ipc = m.instructions / m.cycles;
-      if (m.llc_references > 0.0) {
-        row.llc_miss_rate = m.llc_misses / m.llc_references;
+      if (m.has_cycles || m.has_instructions || m.has_llc ||
+          m.has_stalled_backend) {
+        report.counters_available = true;
       }
-      row.llc_miss_per_unit = m.llc_misses / m.units;
-      row.measured_gbps = m.llc_misses * 64.0 / m.seconds / 1e9;
-      if (m.cycles > 0.0) row.stalled_frac = m.stalled_backend / m.cycles;
+      if (m.has_cycles && m.has_instructions && m.cycles > 0.0) {
+        row.ipc = m.instructions / m.cycles;
+      }
+      if (m.has_llc) {
+        if (m.llc_references > 0.0) {
+          row.llc_miss_rate = m.llc_misses / m.llc_references;
+        }
+        row.llc_miss_per_unit = m.llc_misses / m.units;
+        row.measured_gbps = m.llc_misses * 64.0 / m.seconds / 1e9;
+      }
+      if (m.has_cycles && m.has_stalled_backend && m.cycles > 0.0) {
+        row.stalled_frac = m.stalled_backend / m.cycles;
+      }
     }
     report.rows.push_back(std::move(row));
   }
@@ -242,25 +259,27 @@ std::string RooflineReport::to_string() const {
         r.kernel.c_str(), r.seconds, r.ai, r.model_gbytes, r.achieved_gbps,
         r.roof_fraction * 100.0,
         r.bandwidth_bound ? "bandwidth" : "compute",
-        r.has_counters && r.ipc > 0.0 ? format_g(r.ipc, 2).c_str() : "-");
+        r.ipc ? format_g(*r.ipc, 2).c_str() : "-");
     os << line << "\n";
   }
   std::string detail;
   for (const RooflineRow& r : rows) {
     if (!r.has_counters) continue;
     std::string cols;
-    if (r.ipc > 0.0) cols += "ipc=" + format_g(r.ipc, 2) + " ";
-    if (r.llc_miss_rate > 0.0) {
-      cols += "llc-miss-rate=" + format_g(r.llc_miss_rate * 100.0, 1) +
+    if (r.ipc) cols += "ipc=" + format_g(*r.ipc, 2) + " ";
+    if (r.llc_miss_rate) {
+      cols += "llc-miss-rate=" + format_g(*r.llc_miss_rate * 100.0, 1) +
               "% ";
     }
-    if (r.llc_miss_per_unit > 0.0) {
+    if (r.llc_miss_per_unit) {
       cols += "llc-miss/" + std::string(r.unit) + "=" +
-              format_g(r.llc_miss_per_unit, 2) + " ";
-      cols += "measured=" + format_g(r.measured_gbps, 2) + " GB/s ";
+              format_g(*r.llc_miss_per_unit, 2) + " ";
     }
-    if (r.stalled_frac > 0.0) {
-      cols += "backend-stall=" + format_g(r.stalled_frac * 100.0, 1) + "%";
+    if (r.measured_gbps) {
+      cols += "measured=" + format_g(*r.measured_gbps, 2) + " GB/s ";
+    }
+    if (r.stalled_frac) {
+      cols += "backend-stall=" + format_g(*r.stalled_frac * 100.0, 1) + "%";
     }
     if (!cols.empty()) detail += "  " + r.kernel + ": " + cols + "\n";
   }
@@ -292,11 +311,13 @@ std::string RooflineReport::json() const {
        << (r.bandwidth_bound ? "bandwidth" : "compute")
        << "\", \"roof_fraction\": " << format_g(r.roof_fraction, 4);
     if (r.has_counters) {
-      os << ", \"ipc\": " << format_g(r.ipc, 4)
-         << ", \"llc_miss_rate\": " << format_g(r.llc_miss_rate, 6)
-         << ", \"llc_miss_per_unit\": " << format_g(r.llc_miss_per_unit, 4)
-         << ", \"measured_gbps\": " << format_g(r.measured_gbps, 3)
-         << ", \"stalled_backend_frac\": " << format_g(r.stalled_frac, 4);
+      os << ", \"ipc\": " << json_number(r.ipc, 4)
+         << ", \"llc_miss_rate\": " << json_number(r.llc_miss_rate, 6)
+         << ", \"llc_miss_per_unit\": "
+         << json_number(r.llc_miss_per_unit, 4)
+         << ", \"measured_gbps\": " << json_number(r.measured_gbps, 3)
+         << ", \"stalled_backend_frac\": "
+         << json_number(r.stalled_frac, 4);
     }
     os << "}";
   }

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -69,11 +70,21 @@ MachinePeaks measure_machine_peaks(int threads);
 struct KernelMeasurement {
   std::string name;      ///< span name
   double seconds = 0.0;  ///< busy seconds on the critical thread
-  double units = 0.0;    ///< node-steps or point-steps executed
+  /// Work units the kernel actually executed: node-steps or point-steps
+  /// (for update_velocity under the fused pipeline, the IB footprint's
+  /// nodes only).
+  double units = 0.0;
   std::uint64_t spans = 0;
-  /// Hardware-counter sums (0 and has_counters=false when the host
-  /// grants none — every derived column degrades to "-").
+  /// Counter-group sums (has_counters=false when no session recorded
+  /// this kernel). The host may grant any subset of the events, software
+  /// task-clock alone included; the has_* flags say which hardware
+  /// events were read, and a column derived from a missing one is
+  /// unavailable rather than 0.
   bool has_counters = false;
+  bool has_cycles = false;
+  bool has_instructions = false;
+  bool has_llc = false;  ///< LLC references and misses
+  bool has_stalled_backend = false;
   double cycles = 0.0;
   double instructions = 0.0;
   double llc_references = 0.0;
@@ -94,17 +105,19 @@ struct RooflineRow {
   double roof_gbps = 0.0;  ///< bandwidth ceiling (= peaks.gbps)
   bool bandwidth_bound = false;
   double roof_fraction = 0.0;  ///< achieved / applicable roof
-  // Counter-derived columns (0 when unavailable).
+  // Counter-derived columns; empty when an input event is missing.
   bool has_counters = false;
-  double ipc = 0.0;
-  double llc_miss_rate = 0.0;
-  double llc_miss_per_unit = 0.0;
-  double measured_gbps = 0.0;  ///< LLC misses × 64B / seconds
-  double stalled_frac = 0.0;
+  std::optional<double> ipc;
+  std::optional<double> llc_miss_rate;
+  std::optional<double> llc_miss_per_unit;
+  std::optional<double> measured_gbps;  ///< LLC misses × 64B / seconds
+  std::optional<double> stalled_frac;
 };
 
 struct RooflineReport {
   MachinePeaks peaks;
+  /// True only when some row read a hardware event (software task-clock
+  /// alone does not count).
   bool counters_available = false;
   std::string availability;  ///< human-readable probe summary
   std::vector<RooflineRow> rows;
@@ -112,6 +125,8 @@ struct RooflineReport {
   /// Fixed-width table with a per-kernel bound verdict.
   std::string to_string() const;
   /// JSON object (machine peaks + rows) for BENCH_step.json embedding.
+  /// Rows with counter data carry every counter field, null where the
+  /// input event is missing.
   std::string json() const;
 };
 

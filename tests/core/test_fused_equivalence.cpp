@@ -9,14 +9,21 @@
 //
 // Also covers the swap-specific hazards: snapshot/checkpoint after an odd
 // number of steps (swap parity flipped), restore into a fused solver, and
-// conservation under the fused path.
+// conservation under the fused path; and the IB-footprint hazards (the
+// fused pipeline computes rho/u and resets forces on the footprint only,
+// DESIGN.md §11): sheets that wrap the periodic faces or move across
+// rows, open and MRT boundaries, rollback mid-run, and NaN detection off
+// the footprint.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
 
+#include "core/fault_injection.hpp"
+#include "core/simulation.hpp"
 #include "core/solver.hpp"
 #include "core/verification.hpp"
+#include "ib/footprint.hpp"
 #include "io/checkpoint.hpp"
 #include "lbm/fluid_grid.hpp"
 
@@ -244,6 +251,80 @@ TEST_P(FusedEquivalence, MassAndMomentumConservedUnderFusedPath) {
   EXPECT_NEAR(after.total_momentum().z, mom0.z, 1e-10);
 }
 
+// --- IB footprint -----------------------------------------------------------
+
+/// A base case whose sheet drifts with a uniform initial flow: about
+/// 0.05 x 60 = 3 rows in x and 1.8 in y over 60 steps, so the footprint
+/// moves and rows leave it (their forces must be reset, their rho/u go
+/// stale) while others join it.
+SimulationParams drifting_sheet() {
+  SimulationParams p = base_params();
+  p.initial_velocity = {0.05, 0.03, 0.0};
+  // Scalar sweep: on this flow the vectorized one differs from the
+  // reference by fp-contraction rounding in optimized builds (see
+  // kContractionTol); the footprint logic is the same on both paths.
+  p.simd_step = false;
+  return p;
+}
+
+/// Mean x of the primary sheet's points.
+Real mean_sheet_x(const Solver& s) {
+  Real sum = 0.0;
+  for (Size i = 0; i < s.sheet().num_nodes(); ++i) {
+    sum += s.sheet().position(i).x;
+  }
+  return sum / static_cast<Real>(s.sheet().num_nodes());
+}
+
+TEST_P(FusedEquivalence, BitIdenticalWithSheetStraddlingPeriodicFaces) {
+  // Stencils at x = 15.5 reach rows 14, 15, 0, 1; fibers at y = 14..18
+  // reach rows 13..15 and 0..3: the footprint wraps both periodic faces.
+  SimulationParams p = base_params();
+  p.sheet_origin = {15.5, 14.0, 5.0};
+  EXPECT_EQ(fused_vs_reference(GetParam(), p, 20).max_any(), 0.0);
+}
+
+TEST_P(FusedEquivalence, BitIdenticalWithSheetMovingAcrossRows) {
+  SimulationParams p = drifting_sheet();
+  p.fused_step = true;
+  auto probe = make_solver(GetParam(), p);
+  const Real x0 = mean_sheet_x(*probe);
+  probe->run(60);
+  ASSERT_GT(mean_sheet_x(*probe) - x0, 2.0) << "the sheet must cross rows";
+  EXPECT_EQ(fused_vs_reference(GetParam(), p, 60).max_any(), 0.0);
+}
+
+TEST_P(FusedEquivalence, BitIdenticalWithInletOutletAndSheet) {
+  SimulationParams p = base_params();
+  p.boundary = BoundaryType::kInletOutlet;
+  p.body_force = {};
+  p.inlet_velocity = {0.03, 0.0, 0.0};
+  // Scalar sweep: the vectorized one may differ from the reference by
+  // fp-contraction rounding on this boundary (see kContractionTol).
+  p.simd_step = false;
+  EXPECT_EQ(fused_vs_reference(GetParam(), p, 40).max_any(), 0.0);
+}
+
+TEST_P(FusedEquivalence, BitIdenticalWithMrtAndMovingSheet) {
+  SimulationParams p = drifting_sheet();
+  p.collision = CollisionModel::kMRT;
+  EXPECT_EQ(fused_vs_reference(GetParam(), p, 50).max_any(), 0.0);
+}
+
+TEST_P(FusedEquivalence, NanOffTheFootprintTripsTheHealthMonitor) {
+  // Node 64 is (x 0, y 4, z 0), far from the sheet's rows (x 5..8): its
+  // rho/u are stale after every fused step, so only materialization can
+  // show the injected NaN (and its spread through df) to the scan.
+  SimulationParams p = base_params();
+  p.num_threads = 2;
+  Simulation sim(GetParam(), p);
+  sim.enable_health_checks(5);
+  sim.on_step(1, fault::nan_at_step(7, 64));
+  sim.run(20);
+  EXPECT_EQ(sim.last_health().status, HealthStatus::kDiverged);
+  EXPECT_GE(sim.last_health().non_finite_nodes, 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSolvers, FusedEquivalence,
                          ::testing::ValuesIn(kAllKinds),
                          [](const auto& info) {
@@ -297,12 +378,85 @@ TEST_P(FusedCheckpointTest, OddStepCheckpointResumesIdentically) {
   EXPECT_EQ(compare_solvers(*straight, *second).max_any(), 0.0);
 }
 
+TEST_P(FusedCheckpointTest, RestoreMidRunAndContinue) {
+  // Roll a running solver back: after its first 5 steps it is
+  // checkpointed, runs 40 more (so its footprint, force field and stale
+  // rho/u all belong to step 45, rows away from step 5's), is restored to
+  // step 5 and continues 9. The restore must drop the force-field
+  // tracking (the restored field carries step 5's spread forces, not
+  // step 45's) and the stale mark.
+  SimulationParams p = drifting_sheet();
+  p.fused_step = true;
+  auto straight = make_solver(GetParam(), p);
+  straight->run(14);
+
+  auto rolled = make_solver(GetParam(), p);
+  rolled->run(5);
+  FluidGrid snapshot(p.nx, p.ny, p.nz);
+  rolled->snapshot_fluid(snapshot);
+  save_checkpoint(path_, snapshot, rolled->structure(),
+                  rolled->steps_completed());
+  const Real x_at_checkpoint = mean_sheet_x(*rolled);
+  rolled->run(40);
+  ASSERT_GT(mean_sheet_x(*rolled) - x_at_checkpoint, 1.0)
+      << "the footprint must move before the rollback";
+  FluidGrid loaded(p.nx, p.ny, p.nz);
+  Structure structure = rolled->structure();
+  const Index step = load_checkpoint(path_, loaded, structure);
+  ASSERT_EQ(step, 5);
+  rolled->restore_state(loaded, structure, step);
+  rolled->run(9);
+  EXPECT_EQ(rolled->steps_completed(), 14);
+  EXPECT_EQ(compare_solvers(*straight, *rolled).max_any(), 0.0);
+
+  p.fused_step = false;
+  auto reference = make_solver(GetParam(), p);
+  reference->run(14);
+  EXPECT_EQ(compare_solvers(*reference, *rolled).max_any(), 0.0);
+}
+
 INSTANTIATE_TEST_SUITE_P(AllSolvers, FusedCheckpointTest,
                          ::testing::ValuesIn(kAllKinds),
                          [](const auto& info) {
                            return std::string(
                                solver_kind_name(info.param));
                          });
+
+TEST(IbFootprint, FlatSheetRowCountKnownAnswer) {
+  // A 6 x 6 sheet in the plane x = 6.5 with fibers at y = 6.5 .. 10.5:
+  // every stencil spans x rows 5..8, and the fibers' stencils together
+  // span y rows 5..12, so the footprint is 4 x 8 = 32 rows. In 4 x 4
+  // cube columns that is x cubes 1..2 by y cubes 1..3 = 6 columns.
+  SimulationParams p = presets::tiny();
+  p.sheet_origin = {6.5, 6.5, 6.0};
+  const FiberSheet sheet(p);
+  IbFootprint rows(p.nx, p.ny);
+  rows.mark(sheet, 0, sheet.num_fibers(), 1);
+  EXPECT_EQ(rows.count(1), 32u);
+  EXPECT_TRUE(rows.covered(5 * 16 + 5, 1));
+  EXPECT_TRUE(rows.covered(8 * 16 + 12, 1));
+  EXPECT_FALSE(rows.covered(4 * 16 + 5, 1));
+  EXPECT_FALSE(rows.covered(5 * 16 + 13, 1));
+  IbFootprint cubes(p.nx, p.ny, 4);
+  cubes.mark(sheet, 0, sheet.num_fibers(), 1);
+  EXPECT_EQ(cubes.count(1), 6u);
+
+  // A stamp records the latest step only: re-marking a subset under a
+  // new stamp leaves the rest covered by the old one alone.
+  rows.mark(sheet, 0, 1, 2);
+  EXPECT_EQ(rows.count(2), 4u * 4u);  // fiber 0 at y = 6.5: y rows 5..8
+  EXPECT_EQ(rows.count(1), 32u - 16u);
+
+  // Wrapped and clipped: a sheet at x = 15.5 reaches x rows 14, 15, 0, 1;
+  // a tile [0, 8) x [0, 16) keeps the 2 rows 0 and 1 of them.
+  p.sheet_origin = {15.5, 6.5, 6.0};
+  const FiberSheet wrapped(p);
+  IbFootprint tile(p.nx, p.ny, 1, 0, 8, 0, 16);
+  tile.mark(wrapped, 0, wrapped.num_fibers(), 1);
+  EXPECT_EQ(tile.count(1), 2u * 8u);
+  EXPECT_TRUE(tile.covered(0 * 16 + 5, 1));
+  EXPECT_TRUE(tile.covered(1 * 16 + 12, 1));
+}
 
 }  // namespace
 }  // namespace lbmib

@@ -118,5 +118,27 @@ TEST(RaceClean, ChannelBoundaryAcrossSolvers) {
   }
 }
 
+TEST(RaceClean, MaterializeFromObserverAndAfterRun) {
+  // The fused pipeline leaves rho/u stale off the IB footprint; readers
+  // recompute them on the observer's thread (worker 0 of the team
+  // solvers, while the others are parked at the observer barrier) and
+  // after the run. Those writes must be ordered against the workers'
+  // kernel-7 writes and force resets of the steps before and after.
+  const SimulationParams p = fsi_params();
+  for (SolverKind kind :
+       {SolverKind::kSequential, SolverKind::kOpenMP, SolverKind::kCube,
+        SolverKind::kDataflow, SolverKind::kDistributed,
+        SolverKind::kDistributed2D}) {
+    SCOPED_TRACE(std::string(solver_kind_name(kind)));
+    ScopedRaceDetector sd;
+    const auto solver = make_solver(kind, p);
+    FluidGrid snapshot(p.nx, p.ny, p.nz);
+    EXPECT_NO_THROW(solver->run(
+        4, [&](Solver& s, Index) { s.snapshot_fluid(snapshot); }, 2));
+    EXPECT_NO_THROW(solver->snapshot_fluid(snapshot));
+    EXPECT_GT(solver->materialized_nodes(), 0.0);
+  }
+}
+
 }  // namespace
 }  // namespace lbmib

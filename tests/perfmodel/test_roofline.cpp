@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "core/simulation.hpp"
 #include "perfmodel/roofline.hpp"
 
 namespace lbmib::perfmodel {
@@ -67,8 +68,8 @@ TEST(Roofline, ClassifiesBandwidthVsComputeBound) {
   // Same kernel against a bandwidth-rich machine (balance 0.1
   // flop/byte): now the flops ceiling binds.
   peaks.gbps = 1000.0;
-  const RooflineRow& r2 = build_roofline({m}, peaks).rows[0];
-  EXPECT_FALSE(r2.bandwidth_bound);
+  const RooflineReport rich = build_roofline({m}, peaks);
+  EXPECT_FALSE(rich.rows[0].bandwidth_bound);
 }
 
 TEST(Roofline, DropsUnmodeledAndEmptyRowsAndSortsBySeconds) {
@@ -108,6 +109,8 @@ TEST(Roofline, CounterColumnsFlowThroughToReportAndJson) {
   m.units = 1e6;
   m.spans = 10;
   m.has_counters = true;
+  m.has_cycles = m.has_instructions = m.has_llc = m.has_stalled_backend =
+      true;
   m.cycles = 4e9;
   m.instructions = 8e9;  // IPC 2
   m.llc_references = 1e8;
@@ -118,12 +121,13 @@ TEST(Roofline, CounterColumnsFlowThroughToReportAndJson) {
   ASSERT_EQ(report.rows.size(), 1u);
   const RooflineRow& r = report.rows[0];
   EXPECT_TRUE(r.has_counters);
-  EXPECT_NEAR(r.ipc, 2.0, 1e-12);
-  EXPECT_NEAR(r.llc_miss_rate, 0.5, 1e-12);
-  EXPECT_NEAR(r.llc_miss_per_unit, 5e7 / 1e6, 1e-9);
+  EXPECT_NEAR(r.ipc.value(), 2.0, 1e-12);
+  EXPECT_NEAR(r.llc_miss_rate.value(), 0.5, 1e-12);
+  EXPECT_NEAR(r.llc_miss_per_unit.value(), 5e7 / 1e6, 1e-9);
   // 5e7 line fills x 64 B in 1 s = 3.2 GB/s.
-  EXPECT_NEAR(r.measured_gbps, 3.2, 1e-9);
-  EXPECT_NEAR(r.stalled_frac, 0.25, 1e-12);
+  EXPECT_NEAR(r.measured_gbps.value(), 3.2, 1e-9);
+  EXPECT_NEAR(r.stalled_frac.value(), 0.25, 1e-12);
+  EXPECT_TRUE(report.counters_available);
 
   const std::string text = report.to_string();
   EXPECT_NE(text.find("collide_stream"), std::string::npos);
@@ -133,6 +137,109 @@ TEST(Roofline, CounterColumnsFlowThroughToReportAndJson) {
   EXPECT_NE(json.find("\"peaks\""), std::string::npos);
   EXPECT_NE(json.find("\"ipc\""), std::string::npos);
   EXPECT_NE(json.find("\"bound\": \"bandwidth\""), std::string::npos);
+}
+
+TEST(Roofline, SoftwareOnlyCountersAreNotReportedAsHardwareZeros) {
+  // A host that grants only the software task-clock: the row has counter
+  // data, but no hardware event was read, so the report must not claim
+  // counters and every derived column is unavailable (JSON null), never
+  // a measured-looking 0.
+  MachinePeaks peaks;
+  peaks.gbps = 10.0;
+  peaks.gflops = 100.0;
+  KernelMeasurement m;
+  m.name = "collide_stream";
+  m.seconds = 1.0;
+  m.units = 1e6;
+  m.has_counters = true;
+
+  const RooflineReport report = build_roofline({m}, peaks);
+  ASSERT_EQ(report.rows.size(), 1u);
+  const RooflineRow& r = report.rows[0];
+  EXPECT_FALSE(report.counters_available);
+  EXPECT_FALSE(r.ipc.has_value());
+  EXPECT_FALSE(r.llc_miss_rate.has_value());
+  EXPECT_FALSE(r.measured_gbps.has_value());
+  EXPECT_FALSE(r.stalled_frac.has_value());
+  const std::string json = report.json();
+  EXPECT_NE(json.find("\"counters_available\": false"), std::string::npos);
+  EXPECT_NE(json.find("\"ipc\": null"), std::string::npos);
+  EXPECT_NE(json.find("\"llc_miss_rate\": null"), std::string::npos);
+  EXPECT_NE(json.find("\"measured_gbps\": null"), std::string::npos);
+  EXPECT_NE(json.find("\"stalled_backend_frac\": null"), std::string::npos);
+  EXPECT_EQ(json.find("0.0000,"), std::string::npos) << json;
+
+  // Cycles alone: IPC still needs instructions, so it stays unavailable,
+  // but a hardware event was read.
+  m.has_cycles = true;
+  m.cycles = 1e9;
+  const RooflineReport cycles_only = build_roofline({m}, peaks);
+  EXPECT_TRUE(cycles_only.counters_available);
+  EXPECT_FALSE(cycles_only.rows[0].ipc.has_value());
+}
+
+/// A 16^3 periodic box at rest holding one flat 6 x 6 sheet in the plane
+/// x = 6.5, y in [6.5, 10.5]: no force, no flow, so the sheet never moves
+/// and every step has the same IB footprint. Its stencils cover x rows
+/// 5..8 (4) and y rows 5..12 (8): 32 (x, y) rows of 16 nodes.
+SimulationParams resting_sheet(bool fused) {
+  SimulationParams p = presets::tiny();
+  p.sheet_origin = {6.5, 6.5, 6.0};
+  p.body_force = {};
+  p.fused_step = fused;
+  return p;
+}
+
+TEST(Roofline, UpdateVelocityUnitsAreTheNodesKernelSevenComputed) {
+  // Known answer: under the fused pipeline kernel 7 computes rho/u on the
+  // footprint only, 32 rows x 16 nodes per step; the reference pipeline
+  // computes all 16^3. The roofline must use those counts as the units,
+  // or it would report the footprint pass moving the whole grid's bytes.
+  constexpr Index kSteps = 5;
+  for (SolverKind kind : {SolverKind::kSequential, SolverKind::kOpenMP,
+                          SolverKind::kDistributed2D}) {
+    SCOPED_TRACE(std::string(solver_kind_name(kind)));
+    for (bool fused : {true, false}) {
+      Simulation sim(kind, resting_sheet(fused));
+      sim.run(kSteps);
+      const double expected = (fused ? 32.0 * 16.0 : 16.0 * 16.0 * 16.0) *
+                              static_cast<double>(kSteps);
+      EXPECT_EQ(sim.solver().velocity_update_nodes(), expected);
+      const RooflineReport report = sim.roofline_report();
+      bool found = false;
+      for (const RooflineRow& r : report.rows) {
+        if (r.kernel != "update_velocity") continue;
+        found = true;
+        EXPECT_EQ(r.units, expected) << "fused=" << fused;
+        EXPECT_NEAR(r.model_gbytes,
+                    kernel_traffic("update_velocity")->bytes_per_unit *
+                        expected / 1e9,
+                    1e-15);
+      }
+      EXPECT_TRUE(found) << "fused=" << fused;
+    }
+  }
+}
+
+TEST(Roofline, MaterializeRowCountsTheNodesRecomputedOnDemand) {
+  // The on-demand recompute is its own row: a snapshot after a fused run
+  // recomputes every node off the footprint (16^3 - 32 x 16), once.
+  Simulation sim(SolverKind::kSequential, resting_sheet(true));
+  sim.run(3);
+  FluidGrid out(16, 16, 16);
+  sim.solver().snapshot_fluid(out);
+  sim.solver().snapshot_fluid(out);  // nothing stale the second time
+  constexpr double kOffFootprint = 16.0 * 16.0 * 16.0 - 32.0 * 16.0;
+  EXPECT_EQ(sim.solver().materialized_nodes(), kOffFootprint);
+  EXPECT_GT(sim.solver().profiler().seconds(Kernel::kMaterializeMacroscopic),
+            0.0);
+  bool found = false;
+  for (const RooflineRow& r : sim.roofline_report().rows) {
+    if (r.kernel != "materialize_macroscopic") continue;
+    found = true;
+    EXPECT_EQ(r.units, kOffFootprint);
+  }
+  EXPECT_TRUE(found);
 }
 
 }  // namespace
