@@ -59,6 +59,17 @@ const char* kernel_short_name(Kernel k) {
   return "unknown";
 }
 
+const char* kernel_span_name(Kernel k, bool fused) {
+  switch (k) {
+    case Kernel::kCollision:
+      return fused ? "collide_stream" : "collide";
+    case Kernel::kCopyDistribution:
+      return fused ? "swap_df" : "copy_df";
+    default:
+      return kernel_short_name(k);
+  }
+}
+
 int kernel_paper_index(Kernel k) {
   return k == Kernel::kMaterializeMacroscopic ? 0 : static_cast<int>(k) + 1;
 }

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <array>
-#include <chrono>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,38 +37,26 @@ inline constexpr int kNumKernels = 10;
 /// Human-readable kernel name (matches the paper's naming).
 std::string_view kernel_name(Kernel k);
 
-/// Short kernel tag used as trace span names and metric labels
-/// ("collide", "spread", ...). Static storage, null-terminated.
+/// Short kernel tag used as metric labels ("collide", "spread", ...).
+/// Static storage, null-terminated.
 const char* kernel_short_name(Kernel k);
+
+/// The one trace span name of a kernel phase, in every solver, and the
+/// name roofline rows and counter sums join on (DESIGN.md §13). It is
+/// kernel_short_name except where the fused pipeline changes the work:
+/// kernels 5+6 run as one "collide_stream" sweep billed to kCollision,
+/// and kernel 9 is the O(1) "swap_df" instead of "copy_df".
+const char* kernel_span_name(Kernel k, bool fused);
 
 /// Paper index of the kernel (1-based, as used in Algorithm 1 and Table I);
 /// 0 for kMaterializeMacroscopic, which is not one of the paper's nine.
 int kernel_paper_index(Kernel k);
 
-/// Accumulates wall time per kernel. Not thread-safe by itself; parallel
-/// solvers keep one KernelProfiler per thread and merge with operator+=.
+/// Accumulates wall time per kernel. Not thread-safe by itself: every
+/// solver thread charges its own KernelProfiler (through PhaseScope,
+/// core/phase.hpp), and Solver folds them.
 class KernelProfiler {
  public:
-  /// RAII scope that charges its lifetime to one kernel.
-  class Scope {
-   public:
-    Scope(KernelProfiler& p, Kernel k)
-        : profiler_(p), kernel_(k), start_(Clock::now()) {}
-    ~Scope() {
-      profiler_.add(kernel_,
-                    std::chrono::duration<double>(Clock::now() - start_)
-                        .count());
-    }
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    using Clock = std::chrono::steady_clock;
-    KernelProfiler& profiler_;
-    Kernel kernel_;
-    Clock::time_point start_;
-  };
-
   void add(Kernel k, double seconds) {
     seconds_[static_cast<int>(k)] += seconds;
   }
@@ -100,7 +87,6 @@ class KernelProfiler {
   std::string report() const;
 
  private:
-  using Clock = std::chrono::steady_clock;
   std::array<double, kNumKernels> seconds_{};
 };
 

@@ -1,15 +1,12 @@
 #include "core/cube_solver.hpp"
 
-#include <algorithm>
-#include <chrono>
-
 #include "common/error.hpp"
+#include "core/phase.hpp"
 #include "cube/cube_kernels.hpp"
 #include "ib/fiber_forces.hpp"
 #include "lbm/boundary.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
-#include "parallel/chaos.hpp"
 #include "parallel/race_detector.hpp"
 #include "parallel/thread_team.hpp"
 
@@ -27,7 +24,7 @@ std::unique_ptr<Barrier> make_barrier(BarrierKind kind, int threads) {
 
 CubeSolver::CubeSolver(const SimulationParams& params,
                        DistributionPolicy policy, BarrierKind barrier_kind)
-    : Solver(params),
+    : Solver(params, params.num_threads),
       grid_(params),
       footprint_(params.nx, params.ny, grid_.cube_size()),
       mesh_(fitted_mesh(params.num_threads, grid_.cubes_x(),
@@ -37,15 +34,14 @@ CubeSolver::CubeSolver(const SimulationParams& params,
       barrier_(make_barrier(barrier_kind, params.num_threads)),
       locks_(static_cast<Size>(params.num_threads)),
       owned_cubes_(static_cast<Size>(params.num_threads)),
-      owned_fibers_(static_cast<Size>(params.num_threads)),
-      thread_profiles_(static_cast<Size>(params.num_threads)) {
+      owned_fibers_(static_cast<Size>(params.num_threads)) {
   finish_construction(policy);
 }
 
 CubeSolver::CubeSolver(const SimulationParams& params,
                        const MachineTopology& topology,
                        DistributionPolicy policy, BarrierKind barrier_kind)
-    : Solver(params),
+    : Solver(params, params.num_threads),
       grid_(params),
       footprint_(params.nx, params.ny, grid_.cube_size()),
       mesh_(numa_hierarchical_mesh(topology, params.num_threads).mesh),
@@ -55,8 +51,7 @@ CubeSolver::CubeSolver(const SimulationParams& params,
       barrier_(make_barrier(barrier_kind, params.num_threads)),
       locks_(static_cast<Size>(params.num_threads)),
       owned_cubes_(static_cast<Size>(params.num_threads)),
-      owned_fibers_(static_cast<Size>(params.num_threads)),
-      thread_profiles_(static_cast<Size>(params.num_threads)) {
+      owned_fibers_(static_cast<Size>(params.num_threads)) {
   finish_construction(policy);
 }
 
@@ -102,19 +97,18 @@ void CubeSolver::finish_construction(DistributionPolicy policy) {
   grid_.reset_forces(params_.body_force);
 }
 
-void CubeSolver::thread_entry(int tid, Index num_steps,
+void CubeSolver::thread_entry(int tid,
+                              [[maybe_unused]] Index first_step,
+                              Index num_steps,
                               IbFootprint::Stamp first_stamp,
                               const StepObserver& observer,
                               Index observer_interval) {
-  using Clock = std::chrono::steady_clock;
-  auto seconds_between = [](Clock::time_point a, Clock::time_point b) {
-    return std::chrono::duration<double>(b - a).count();
-  };
-
   KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
   // Debug builds: bind this worker to the checker for the whole loop; the
   // binding resets the thread's phase automaton to kSpread.
   LBMIB_ACCESS_CHECK(ScopedThreadBind checker_bind(*access_checker_, tid);)
+  AccessChecker* const checker = access_checker_.get();
+  Barrier* const barrier = barrier_.get();
   const std::vector<Size>& my_cubes = owned_cubes_[static_cast<Size>(tid)];
   const std::vector<std::pair<Size, Index>>& my_fibers =
       owned_fibers_[static_cast<Size>(tid)];
@@ -124,19 +118,17 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
   const bool fused = params_.fused_step;
   const Size cubes_z = static_cast<Size>(grid_.cubes_z());
 
-  // Liveness: one heartbeat per phase per step plus a cancel poll at
-  // the step boundary. The beat label names the sync point the thread
-  // is about to enter, which is what a hang report shows for a thread
-  // that never came out of it.
-  ProgressBoard& board = ProgressBoard::global();
-
+  // Liveness: one heartbeat per sync point per step plus a cancel poll
+  // at the step boundary. The label names the sync point the thread is
+  // about to enter, which is what a hang report shows for a thread that
+  // never came out of it.
   for (Index step = 0; step < num_steps; ++step) {
     cancel_point("cube:step");
-    board.beat("cube:step:start");
+    sync_point("cube:step:start", tid, step);
     // One bar per thread per step in the trace timeline; kernel and
     // barrier-wait spans nest inside it.
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
-                     static_cast<std::int64_t>(step));
+                     static_cast<std::int64_t>(first_step + step));
     const IbFootprint::Stamp stamp =
         first_stamp + static_cast<IbFootprint::Stamp>(step);
     auto in_footprint = [&](Size cube) {
@@ -145,61 +137,41 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
     // --- 1st loop: fiber kernels 1-4 on owned fibers ---------------------
     LBMIB_RACE_CHECK(race::context("cube solver: spread phase");)
     {
-      auto t0 = Clock::now();
-      {
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kBendingForce));
-        for (const auto& [s, f] : my_fibers) {
-          compute_bending_force(structure_[s], f, f + 1);
-        }
+      const PhaseScope phase(prof, Kernel::kBendingForce, fused);
+      for (const auto& [s, f] : my_fibers) {
+        compute_bending_force(structure_[s], f, f + 1);
       }
-      auto t1 = Clock::now();
-      {
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kStretchingForce));
-        for (const auto& [s, f] : my_fibers) {
-          compute_stretching_force(structure_[s], f, f + 1);
-        }
+    }
+    {
+      const PhaseScope phase(prof, Kernel::kStretchingForce, fused);
+      for (const auto& [s, f] : my_fibers) {
+        compute_stretching_force(structure_[s], f, f + 1);
       }
-      auto t2 = Clock::now();
-      {
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kElasticForce));
-        for (const auto& [s, f] : my_fibers) {
-          compute_elastic_force(structure_[s], f, f + 1);
-        }
+    }
+    {
+      const PhaseScope phase(prof, Kernel::kElasticForce, fused);
+      for (const auto& [s, f] : my_fibers) {
+        compute_elastic_force(structure_[s], f, f + 1);
       }
-      auto t3 = Clock::now();
-      {
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kSpreadForce));
-        for (const auto& [s, f] : my_fibers) {
-          if (fused) footprint_.mark(structure_[s], f, f + 1, stamp);
-          cube_spread_force(structure_[s], grid_, dist_, locks_, f, f + 1);
-        }
+    }
+    {
+      const PhaseScope phase(prof, Kernel::kSpreadForce, fused);
+      for (const auto& [s, f] : my_fibers) {
+        if (fused) footprint_.mark(structure_[s], f, f + 1, stamp);
+        cube_spread_force(structure_[s], grid_, dist_, locks_, f, f + 1);
       }
-      auto t4 = Clock::now();
-      prof.add(Kernel::kBendingForce, seconds_between(t0, t1));
-      prof.add(Kernel::kStretchingForce, seconds_between(t1, t2));
-      prof.add(Kernel::kElasticForce, seconds_between(t2, t3));
-      prof.add(Kernel::kSpreadForce, seconds_between(t3, t4));
     }
     // Extra barrier (see header comment): all spreading must land before
     // any thread collides.
-    board.beat("cube:barrier:spread");
-    if (chaos::enabled()) chaos::sync_point("cube:barrier:spread", tid, step);
-    barrier_->arrive_and_wait();
-    LBMIB_ACCESS_CHECK(
-        access_checker_->advance_phase(StepPhase::kCollideStream);)
+    sync_point("cube:barrier:spread", tid, step, barrier, checker,
+               StepPhase::kCollideStream);
     LBMIB_RACE_CHECK(race::context("cube solver: collide+stream phase");)
 
     // --- 2nd loop: collision + streaming per cube ------------------------
-    if (params_.fused_step) {
-      // One register-fused pass per cube (kernels 5+6); the whole sweep is
-      // charged to the collision bucket — there is no second traversal
-      // left to time as "streaming".
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "collide_stream");
-      auto t0 = Clock::now();
+    if (fused) {
+      // One register-fused pass per cube (kernels 5+6), billed to the
+      // collision bucket — there is no second traversal to time.
+      const PhaseScope phase(prof, Kernel::kCollision, fused);
       for (Size cube : my_cubes) {
         if (mrt_) {
           cube_mrt_collide_stream(grid_, *mrt_, cube, params_.simd_step);
@@ -208,39 +180,30 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
                               params_.simd_step);
         }
       }
-      prof.add(Kernel::kCollision, seconds_between(t0, Clock::now()));
     } else {
-      // Collide and stream interleave per cube here, so the trace gets
-      // one combined span; the profiler still splits the buckets.
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "collide_stream");
-      double collide_s = 0.0, stream_s = 0.0;
-      for (Size cube : my_cubes) {
-        auto t0 = Clock::now();
-        if (mrt_) {
-          cube_mrt_collide(grid_, *mrt_, cube);
-        } else {
-          cube_collide(grid_, params_.tau, cube);
+      // All owned cubes collide, then all stream: a cube's collision
+      // writes only its own df, which only its own streaming reads, so
+      // the split leaves every value as the per-cube interleave did.
+      {
+        const PhaseScope phase(prof, Kernel::kCollision, fused);
+        for (Size cube : my_cubes) {
+          if (mrt_) {
+            cube_mrt_collide(grid_, *mrt_, cube);
+          } else {
+            cube_collide(grid_, params_.tau, cube);
+          }
         }
-        auto t1 = Clock::now();
-        cube_stream(grid_, cube);
-        auto t2 = Clock::now();
-        collide_s += seconds_between(t0, t1);
-        stream_s += seconds_between(t1, t2);
       }
-      prof.add(Kernel::kCollision, collide_s);
-      prof.add(Kernel::kStreaming, stream_s);
+      const PhaseScope phase(prof, Kernel::kStreaming, fused);
+      for (Size cube : my_cubes) cube_stream(grid_, cube);
     }
-    board.beat("cube:barrier:collide");
-    if (chaos::enabled()) chaos::sync_point("cube:barrier:collide", tid, step);
-    barrier_->arrive_and_wait();  // paper barrier #1
-    LBMIB_ACCESS_CHECK(access_checker_->advance_phase(StepPhase::kUpdate);)
+    sync_point("cube:barrier:collide", tid, step, barrier, checker,
+               StepPhase::kUpdate);  // paper barrier #1
     LBMIB_RACE_CHECK(race::context("cube solver: update phase");)
 
     // --- 3rd loop: update velocity ---------------------------------------
     {
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kUpdateVelocity));
-      auto t0 = Clock::now();
+      const PhaseScope phase(prof, Kernel::kUpdateVelocity, fused);
       if (uses_inlet_outlet(params_.boundary)) {
         for (Size cube : my_cubes) {
           cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
@@ -253,38 +216,38 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
         nodes += grid_.nodes_per_cube();
       }
       count_velocity_update(nodes);
-      prof.add(Kernel::kUpdateVelocity, seconds_between(t0, Clock::now()));
     }
-    board.beat("cube:barrier:update");
-    if (chaos::enabled()) chaos::sync_point("cube:barrier:update", tid, step);
-    barrier_->arrive_and_wait();  // paper barrier #2
-    LBMIB_ACCESS_CHECK(access_checker_->advance_phase(StepPhase::kMoveCopy);)
+    sync_point("cube:barrier:update", tid, step, barrier, checker,
+               StepPhase::kMoveCopy);  // paper barrier #2
     LBMIB_RACE_CHECK(race::context("cube solver: move+copy phase");)
 
     // --- 4th loop: move owned fibers --------------------------------------
     {
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kMoveFibers));
-      auto t0 = Clock::now();
+      const PhaseScope phase(prof, Kernel::kMoveFibers, fused);
       for (const auto& [s, f] : my_fibers) {
         cube_move_fibers(structure_[s], grid_, f, f + 1);
       }
-      prof.add(Kernel::kMoveFibers, seconds_between(t0, Clock::now()));
     }
 
     // --- 5th loop: kernel 9, and reset forces for the next step's
     // spreading (own cubes only, so no synchronization needed) -------------
+    if (fused && tid == 0) {
+      // Kernel 9 as an O(1) parity flip, done once by thread 0. Legal
+      // anywhere inside the move+copy phase: after barrier #2 no thread
+      // reads df/df_new again this step (loops 4/5 touch only
+      // velocity/force slots, whose bases never move), and barrier #3
+      // publishes the flip before the next step's reads.
+      const PhaseScope phase(prof, Kernel::kCopyDistribution, fused);
+      grid_.swap_df_buffers();
+    } else if (!fused) {
+      const PhaseScope phase(prof, Kernel::kCopyDistribution, fused);
+      for (Size cube : my_cubes) cube_copy_distributions(grid_, cube);
+    }
     {
-      // Under the fused pipeline no distributions are copied here — the
-      // loop only resets forces — so don't record it as copy_df, where
-      // the roofline would charge it the 38-plane copy traffic.
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       params_.fused_step
-                           ? "reset_forces"
-                           : kernel_short_name(Kernel::kCopyDistribution));
-      auto t0 = Clock::now();
+      // The reset belongs to the next step's spreading, like the planar
+      // solvers' resets.
+      const PhaseScope phase(prof, Kernel::kSpreadForce, fused);
       for (Size cube : my_cubes) {
-        if (!fused) cube_copy_distributions(grid_, cube);
         // Off the footprint the force field already holds the body force.
         if (!in_footprint(cube)) continue;
         // The reset below writes the force slots directly, bypassing the
@@ -300,23 +263,9 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
           fz[local] = params_.body_force.z;
         }
       }
-      if (params_.fused_step && tid == 0) {
-        // Kernel 9 as an O(1) parity flip, done once by thread 0. Legal
-        // anywhere inside the move+copy phase: after barrier #2 no thread
-        // reads df/df_new again this step (loops 4/5 touch only
-        // velocity/force slots, whose bases never move), and barrier #3
-        // publishes the flip before the next step's reads.
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "swap_df");
-        grid_.swap_df_buffers();
-      }
-      prof.add(Kernel::kCopyDistribution, seconds_between(t0, Clock::now()));
     }
-    board.beat("cube:barrier:step-end");
-    if (chaos::enabled()) {
-      chaos::sync_point("cube:barrier:step-end", tid, step);
-    }
-    barrier_->arrive_and_wait();  // paper barrier #3 (end of step)
-    LBMIB_ACCESS_CHECK(access_checker_->advance_phase(StepPhase::kSpread);)
+    sync_point("cube:barrier:step-end", tid, step, barrier, checker,
+               StepPhase::kSpread);  // paper barrier #3 (end of step)
 
     if (tid == 0) {
       // Only thread 0 touches the solver's bookkeeping; the others
@@ -326,30 +275,22 @@ void CubeSolver::thread_entry(int tid, Index num_steps,
     }
     if (observer && ((step + 1) % observer_interval == 0)) {
       if (tid == 0) observer(*this, steps_completed_ - 1);
-      barrier_->arrive_and_wait();
+      sync_point("cube:barrier:observer", tid, step, barrier);
     }
   }
 }
 
 void CubeSolver::run_loop(Index num_steps, const StepObserver& observer,
                           Index observer_interval) {
+  // Only worker 0 advances steps_completed_ during the run, so every
+  // worker takes the run's first step and stamp from here.
+  const Index first_step = steps_completed_;
   const IbFootprint::Stamp first_stamp = footprint_stamp_ + 1;
   ThreadTeam team(params_.num_threads);
   team.run([&](int tid) {
-    thread_entry(tid, num_steps, first_stamp, observer, observer_interval);
+    thread_entry(tid, first_step, num_steps, first_stamp, observer,
+                 observer_interval);
   });
-
-  // Fold per-thread times into the aggregate profiler: charge the slowest
-  // thread per kernel (wall time of that phase).
-  for (int k = 0; k < kNumKernels; ++k) {
-    double max_time = 0.0;
-    for (const KernelProfiler& p : thread_profiles_) {
-      max_time = std::max(max_time, p.seconds(static_cast<Kernel>(k)));
-    }
-    profiler_.add(static_cast<Kernel>(k),
-                  max_time - profiler_merge_mark_[static_cast<Size>(k)]);
-    profiler_merge_mark_[static_cast<Size>(k)] = max_time;
-  }
 }
 
 void CubeSolver::step() { run_loop(1, nullptr, 1); }

@@ -48,10 +48,6 @@ class CubeSolver final : public Solver {
            Index observer_interval = 1) override;
   std::string name() const override { return "cube"; }
 
-  std::vector<KernelProfiler> per_thread_profiles() const override {
-    return thread_profiles_;
-  }
-
   /// The cube grid with rho/u materialized.
   CubeGrid& cubes() {
     materialize_macroscopic();
@@ -77,8 +73,10 @@ class CubeSolver final : public Solver {
   /// Shared tail of both constructors: owned-cube/fiber lists + forces.
   void finish_construction(DistributionPolicy policy);
 
-  /// Body of the paper's Thread_entry_fn for `num_steps` steps.
-  void thread_entry(int tid, Index num_steps, IbFootprint::Stamp first_stamp,
+  /// Body of the paper's Thread_entry_fn for `num_steps` steps, the
+  /// first of which is the solver's step `first_step`.
+  void thread_entry(int tid, Index first_step, Index num_steps,
+                    IbFootprint::Stamp first_stamp,
                     const StepObserver& observer, Index observer_interval);
 
   /// Execute `num_steps` steps with a freshly launched persistent team.
@@ -97,8 +95,6 @@ class CubeSolver final : public Solver {
   /// (sheet index, fiber index) pairs owned per thread; distribution uses
   /// the global fiber numbering across all sheets of the structure.
   std::vector<std::vector<std::pair<Size, Index>>> owned_fibers_;
-  std::vector<KernelProfiler> thread_profiles_;
-  std::array<double, kNumKernels> profiler_merge_mark_{};
   /// Debug ownership/phase checker, allocated and attached to grid_ only
   /// in LBMIB_CHECK_ACCESS builds (null otherwise).
   std::unique_ptr<AccessChecker> access_checker_;

@@ -1,19 +1,18 @@
 #include "core/dataflow_solver.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <thread>
 #include <utility>
 
 #include "common/error.hpp"
+#include "core/phase.hpp"
 #include "cube/cube_kernels.hpp"
 #include "ib/fiber_forces.hpp"
 #include "lbm/boundary.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
-#include "parallel/chaos.hpp"
 #include "parallel/modelcheck.hpp"
 #include "parallel/race_detector.hpp"
 #include "parallel/thread_team.hpp"
@@ -36,11 +35,10 @@ std::int64_t encode_update(Size cube) {
 }  // namespace
 
 DataflowCubeSolver::DataflowCubeSolver(const SimulationParams& params)
-    : Solver(params),
+    : Solver(params, params.num_threads),
       grid_(params),
       footprint_(params.nx, params.ny, grid_.cube_size()),
       barrier_(params.num_threads),
-      thread_profiles_(static_cast<Size>(params.num_threads)),
       tasks_executed_(static_cast<Size>(params.num_threads), 0) {
   const Size ncubes = grid_.num_cubes();
 
@@ -93,14 +91,80 @@ void DataflowCubeSolver::arm_step() {
   move_cursor_.store(0, std::memory_order_relaxed);
 }
 
-void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
+std::int64_t DataflowCubeSolver::await_task(std::atomic<std::int64_t>& slot,
+                                           const char* wait_label) {
+  // Under the model checker the empty-slot spin becomes a cooperative
+  // wait on the slot (the publisher's mc::notify on the same address
+  // wakes it), so an unpublished task is a structural deadlock rather
+  // than a livelock.
+  LBMIB_MC_CHECK(if (mc::active()) {
+    mc::sched_point(mc::Op::kEdgeAcquire, &slot);
+    const CancelToken* token = CancelToken::current();
+    mc::wait_until(&slot, [&slot, token] {
+      return slot.load(std::memory_order_acquire) != kEmptySlot ||
+             (token != nullptr && token->cancelled());
+    });
+    if (slot.load(std::memory_order_acquire) == kEmptySlot) {
+      cancel_point(wait_label);
+    }
+  })
+  std::int64_t task = slot.load(std::memory_order_acquire);
+  if (task != kEmptySlot) return task;
+  // The slot must become non-empty because every task of the run is
+  // produced exactly once — unless the producer died or stalled, which
+  // is why the slow (yield) branch is a cancellation point.
+  LBMIB_TRACE_SPAN(obs::SpanCat::kBarrier, "task.wait");
+  int spins = 0;
+  while ((task = slot.load(std::memory_order_acquire)) == kEmptySlot) {
+    if (++spins >= 256) {
+      spins = 0;
+      cancel_point(wait_label);
+      std::this_thread::yield();  // oversubscribed hosts
+    } else {
+#if defined(__x86_64__) || defined(__i386__)
+      __builtin_ia32_pause();
+#endif
+    }
+  }
+  return task;
+}
+
+template <typename Resolve>
+void DataflowCubeSolver::collide_stream_task(KernelProfiler& prof, Size cube,
+                                             Size src_base, Size dst_base,
+                                             Resolve&& resolve) {
+  const auto arg = static_cast<std::int64_t>(cube);
+  if (params_.fused_step) {
+    const PhaseScope phase(prof, Kernel::kCollision, true, arg);
+    if (mrt_) {
+      cube_mrt_collide_stream(grid_, *mrt_, cube, src_base, dst_base,
+                              params_.simd_step);
+    } else {
+      cube_collide_stream(grid_, params_.tau, cube, src_base, dst_base,
+                          params_.simd_step);
+    }
+    resolve();
+    return;
+  }
+  {
+    const PhaseScope phase(prof, Kernel::kCollision, false, arg);
+    if (mrt_) {
+      cube_mrt_collide(grid_, *mrt_, cube);
+    } else {
+      cube_collide(grid_, params_.tau, cube);
+    }
+  }
+  const PhaseScope phase(prof, Kernel::kStreaming, false, arg);
+  cube_stream(grid_, cube);
+  resolve();
+}
+
+void DataflowCubeSolver::thread_entry(int tid,
+                                      [[maybe_unused]] Index first_step,
+                                      Index num_steps,
                                       IbFootprint::Stamp first_stamp,
                                       const StepObserver& observer,
                                       Index observer_interval) {
-  using Clock = std::chrono::steady_clock;
-  auto since = [](Clock::time_point t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
   KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
   const Size total_tasks = 2 * grid_.num_cubes();
   const Size nfibers = fiber_list_.size();
@@ -110,177 +174,128 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
   const bool fused = params_.fused_step;
   const Size cubes_z = static_cast<Size>(grid_.cubes_z());
 
-  ProgressBoard& board = ProgressBoard::global();
-
   for (Index step = 0; step < num_steps; ++step) {
     cancel_point("dataflow:step");
-    board.beat("dataflow:step:start");
+    sync_point("dataflow:step:start", tid, step);
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
-                     static_cast<std::int64_t>(step));
+                     static_cast<std::int64_t>(first_step + step));
     const IbFootprint::Stamp stamp =
         first_stamp + static_cast<IbFootprint::Stamp>(step);
     Size updated_nodes = 0;
-    // --- fiber force phase: kernels 1-4 fused per fiber, self-scheduled
+    Size tasks = 0;
+    // --- fiber force phase: kernels 1-4 fused per fiber, self-scheduled;
+    // each kernel is billed under its own name.
     LBMIB_RACE_CHECK(race::context("dataflow solver: spread phase");)
-    {
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "fiber_forces_fused");
-      auto t0 = Clock::now();
-      for (;;) {
-        cancel_point("dataflow:fiber-forces");
-        const Size i = fiber_cursor_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= nfibers) break;
-        const auto [s, f] = fiber_list_[i];
-        FiberSheet& sheet = structure_[s];
+    for (;;) {
+      cancel_point("dataflow:fiber-forces");
+      const Size i = fiber_cursor_.fetch_add(1, std::memory_order_relaxed);
+      if (i >= nfibers) break;
+      const auto [s, f] = fiber_list_[i];
+      FiberSheet& sheet = structure_[s];
+      {
+        const PhaseScope phase(prof, Kernel::kBendingForce, fused);
         compute_bending_force(sheet, f, f + 1);
-        compute_stretching_force(sheet, f, f + 1);
-        compute_elastic_force(sheet, f, f + 1);
-        if (fused) footprint_.mark(sheet, f, f + 1, stamp);
-        cube_spread_force_atomic(sheet, grid_, f, f + 1);
       }
-      prof.add(Kernel::kSpreadForce, since(t0));
+      {
+        const PhaseScope phase(prof, Kernel::kStretchingForce, fused);
+        compute_stretching_force(sheet, f, f + 1);
+      }
+      {
+        const PhaseScope phase(prof, Kernel::kElasticForce, fused);
+        compute_elastic_force(sheet, f, f + 1);
+      }
+      const PhaseScope phase(prof, Kernel::kSpreadForce, fused);
+      if (fused) footprint_.mark(sheet, f, f + 1, stamp);
+      cube_spread_force_atomic(sheet, grid_, f, f + 1);
     }
-    board.beat("dataflow:barrier:spread");
-    if (chaos::enabled()) {
-      chaos::sync_point("dataflow:barrier:spread", tid, step);
-    }
-    barrier_.arrive_and_wait();  // spreading complete before collision
+    // Spreading complete before collision.
+    sync_point("dataflow:barrier:spread", tid, step, &barrier_);
     LBMIB_RACE_CHECK(race::context("dataflow solver: task loop");)
 
     // --- fluid dataflow: COLLIDE+STREAM -> (deps) -> UPDATE+COPY -------
-    {
-      board.beat("dataflow:task-loop");
-      if (chaos::enabled()) {
-        chaos::sync_point("dataflow:task-loop", tid, step);
+    sync_point("dataflow:task-loop", tid, step);
+    for (Size slot = queue_head_.fetch_add(1, std::memory_order_relaxed);
+         slot < total_tasks;
+         slot = queue_head_.fetch_add(1, std::memory_order_relaxed)) {
+      const std::int64_t task =
+          await_task(queue_[slot], "dataflow:task-slot-wait");
+      ++tasks;
+      // Order this thread after whoever published the slot (seeded
+      // collide slots carry no edge; the spread barrier orders those).
+      LBMIB_RACE_CHECK(race::edge_acquire(&queue_[slot]);)
+      if (task > 0) {
+        const Size cube = static_cast<Size>(task - 1);
+        // Resolve dependencies: the last streamer of a neighbourhood
+        // publishes that cube's update task. Race-detector edges mirror
+        // the atomics: contribute the clock BEFORE the decrement (so
+        // every earlier decrementer's clock is in the sync var by the
+        // time the last one re-reads it), re-join it after observing 1,
+        // and release onto the published queue slot.
+        collide_stream_task(
+            prof, cube, grid_.df_slot_base(), grid_.df_new_slot_base(), [&] {
+              for (Size n : region_[cube]) {
+                LBMIB_MC_CHECK(
+                    mc::sched_point(mc::Op::kEdgeAcqRel, &pending_[n]);)
+                LBMIB_RACE_CHECK(race::edge_acq_rel(&pending_[n]);)
+                if (pending_[n].fetch_sub(1, std::memory_order_acq_rel) ==
+                    1) {
+                  LBMIB_RACE_CHECK(race::edge_acquire(&pending_[n]);)
+                  const Size out =
+                      queue_tail_.fetch_add(1, std::memory_order_relaxed);
+                  LBMIB_RACE_CHECK(race::edge_release(&queue_[out]);)
+                  queue_[out].store(encode_update(n),
+                                    std::memory_order_release);
+                  LBMIB_MC_CHECK(mc::notify(&queue_[out]);)
+                }
+              }
+            });
+        continue;
       }
-      auto t0 = Clock::now();
-      for (;;) {
-        const Size slot =
-            queue_head_.fetch_add(1, std::memory_order_relaxed);
-        if (slot >= total_tasks) break;
-        // The slot may not be published yet; it must become non-empty
-        // because exactly total_tasks tasks are produced per step —
-        // unless the producer died or stalled, which is why the slow
-        // (yield) branch of the empty-slot wait is a cancellation point.
-        std::int64_t task;
-        // Under the model checker the empty-slot spin becomes a
-        // cooperative wait on the slot (the publisher's mc::notify on
-        // the same address wakes it), so an unpublished task is a
-        // structural deadlock rather than a livelock.
-        LBMIB_MC_CHECK(if (mc::active()) {
-          mc::sched_point(mc::Op::kEdgeAcquire, &queue_[slot]);
-          const CancelToken* token = CancelToken::current();
-          mc::wait_until(&queue_[slot], [this, slot, token] {
-            return queue_[slot].load(std::memory_order_acquire) !=
-                       kEmptySlot ||
-                   (token != nullptr && token->cancelled());
-          });
-          if (queue_[slot].load(std::memory_order_acquire) == kEmptySlot) {
-            cancel_point("dataflow:task-slot-wait");
-          }
-        })
-        int spins = 0;
-        while ((task = queue_[slot].load(std::memory_order_acquire)) ==
-               kEmptySlot) {
-          if (++spins >= 256) {
-            spins = 0;
-            cancel_point("dataflow:task-slot-wait");
-            std::this_thread::yield();  // oversubscribed hosts
-          } else {
-#if defined(__x86_64__) || defined(__i386__)
-            __builtin_ia32_pause();
-#endif
-          }
+      const Size cube = static_cast<Size>(-task - 1);
+      const auto arg = static_cast<std::int64_t>(cube);
+      // Off the footprint rho/u go stale and F already holds the body
+      // force, so without an inlet/outlet pass the task has no work.
+      const bool covered =
+          !fused || footprint_.covered(cube / cubes_z, stamp);
+      if (!covered && !uses_inlet_outlet(params_.boundary)) continue;
+      {
+        const PhaseScope phase(prof, Kernel::kUpdateVelocity, fused, arg);
+        if (uses_inlet_outlet(params_.boundary)) {
+          cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
         }
-        ++tasks_executed_[static_cast<Size>(tid)];
-        LBMIB_TRACE_ON(if (obs::Tracer::active()) {
-          obs::metric_dataflow_tasks().inc();
-        })
-        // Order this thread after whoever published the slot (seeded
-        // collide slots carry no edge; the spread barrier orders those).
-        LBMIB_RACE_CHECK(race::edge_acquire(&queue_[slot]);)
-        if (task > 0) {
-          const Size cube = static_cast<Size>(task - 1);
-          LBMIB_TRACE_SPAN(obs::SpanCat::kTask, "task.collide_stream",
-                           static_cast<std::int64_t>(cube));
-          if (params_.fused_step) {
-            if (mrt_) {
-              cube_mrt_collide_stream(grid_, *mrt_, cube,
-                                      params_.simd_step);
-            } else {
-              cube_collide_stream(grid_, params_.tau, cube,
-                                  params_.simd_step);
-            }
-          } else {
-            if (mrt_) {
-              cube_mrt_collide(grid_, *mrt_, cube);
-            } else {
-              cube_collide(grid_, params_.tau, cube);
-            }
-            cube_stream(grid_, cube);
-          }
-          // Resolve dependencies: the last streamer of a neighbourhood
-          // publishes that cube's update task. Race-detector edges mirror
-          // the atomics: contribute the clock BEFORE the decrement (so
-          // every earlier decrementer's clock is in the sync var by the
-          // time the last one re-reads it), re-join it after observing 1,
-          // and release onto the published queue slot.
-          for (Size n : region_[cube]) {
-            LBMIB_MC_CHECK(
-                mc::sched_point(mc::Op::kEdgeAcqRel, &pending_[n]);)
-            LBMIB_RACE_CHECK(race::edge_acq_rel(&pending_[n]);)
-            if (pending_[n].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-              LBMIB_RACE_CHECK(race::edge_acquire(&pending_[n]);)
-              const Size out =
-                  queue_tail_.fetch_add(1, std::memory_order_relaxed);
-              LBMIB_RACE_CHECK(race::edge_release(&queue_[out]);)
-              queue_[out].store(encode_update(n),
-                                std::memory_order_release);
-              LBMIB_MC_CHECK(mc::notify(&queue_[out]);)
-            }
-          }
-        } else {
-          const Size cube = static_cast<Size>(-task - 1);
-          LBMIB_TRACE_SPAN(obs::SpanCat::kTask, "task.update_copy",
-                           static_cast<std::int64_t>(cube));
-          if (uses_inlet_outlet(params_.boundary)) {
-            cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
-          }
-          // Off the footprint rho/u go stale and F already holds the
-          // body force.
-          if (fused && !footprint_.covered(cube / cubes_z, stamp)) continue;
-          cube_update_velocity(grid_, cube);
-          updated_nodes += grid_.nodes_per_cube();
-          if (!fused) cube_copy_distributions(grid_, cube);
-          // Reset forces for the next step's spreading (raw slot writes,
-          // bypassing the hooked add_force accessors).
-          LBMIB_RACE_CHECK(race::access(&grid_, cube, RaceField::kForce,
-                                        RaceAccess::kWrite,
-                                        "reset forces");)
-          Real* fx = grid_.slot(cube, CubeGrid::kFxSlot);
-          Real* fy = grid_.slot(cube, CubeGrid::kFySlot);
-          Real* fz = grid_.slot(cube, CubeGrid::kFzSlot);
-          for (Size l = 0; l < grid_.nodes_per_cube(); ++l) {
-            fx[l] = params_.body_force.x;
-            fy[l] = params_.body_force.y;
-            fz[l] = params_.body_force.z;
-          }
+        if (!covered) continue;
+        cube_update_velocity(grid_, cube);
+        updated_nodes += grid_.nodes_per_cube();
+        // Reset forces for the next step's spreading (raw slot writes,
+        // bypassing the hooked add_force accessors).
+        LBMIB_RACE_CHECK(race::access(&grid_, cube, RaceField::kForce,
+                                      RaceAccess::kWrite, "reset forces");)
+        Real* fx = grid_.slot(cube, CubeGrid::kFxSlot);
+        Real* fy = grid_.slot(cube, CubeGrid::kFySlot);
+        Real* fz = grid_.slot(cube, CubeGrid::kFzSlot);
+        for (Size l = 0; l < grid_.nodes_per_cube(); ++l) {
+          fx[l] = params_.body_force.x;
+          fy[l] = params_.body_force.y;
+          fz[l] = params_.body_force.z;
         }
       }
-      prof.add(Kernel::kCollision, since(t0));
-      count_velocity_update(updated_nodes);
+      if (!fused) {
+        const PhaseScope phase(prof, Kernel::kCopyDistribution, fused, arg);
+        cube_copy_distributions(grid_, cube);
+      }
     }
-    board.beat("dataflow:barrier:tasks-done");
-    if (chaos::enabled()) {
-      chaos::sync_point("dataflow:barrier:tasks-done", tid, step);
-    }
-    barrier_.arrive_and_wait();  // all velocities in place
+    count_velocity_update(updated_nodes);
+    tasks_executed_[static_cast<Size>(tid)] += tasks;
+    LBMIB_TRACE_ON(if (obs::Tracer::active()) {
+      obs::metric_dataflow_tasks().inc(static_cast<double>(tasks));
+    })
+    // All velocities in place.
+    sync_point("dataflow:barrier:tasks-done", tid, step, &barrier_);
     LBMIB_RACE_CHECK(race::context("dataflow solver: move phase");)
 
     // --- move fibers, self-scheduled ------------------------------------
     {
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kMoveFibers));
-      auto t0 = Clock::now();
+      const PhaseScope phase(prof, Kernel::kMoveFibers, fused);
       for (;;) {
         cancel_point("dataflow:move-fibers");
         const Size i = move_cursor_.fetch_add(1, std::memory_order_relaxed);
@@ -288,30 +303,29 @@ void DataflowCubeSolver::thread_entry(int tid, Index num_steps,
         const auto [s, f] = fiber_list_[i];
         cube_move_fibers(structure_[s], grid_, f, f + 1);
       }
-      prof.add(Kernel::kMoveFibers, since(t0));
     }
-    board.beat("dataflow:barrier:moved");
-    barrier_.arrive_and_wait();  // positions settled
+    sync_point("dataflow:barrier:moved", tid, step, &barrier_);
 
     if (tid == 0) {
       // Kernel 9 of the fused pipeline: flip the grid's df/df_new bases
-      // once per step. Safe here: the "positions settled" barrier is
-      // behind every thread and nobody touches the grid until the
-      // re-arm barrier below publishes the flip.
+      // once per step, then re-arm the queue (billed with kernel 9).
+      // Safe here: the "positions settled" barrier is behind every
+      // thread and nobody touches the grid until the re-arm barrier
+      // below publishes the flip.
+      const PhaseScope phase(prof, Kernel::kCopyDistribution, fused);
       if (fused) {
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "swap_df");
         grid_.swap_df_buffers();
         finish_fused_steps(stamp);
       }
       ++steps_completed_;
       arm_step();
     }
-    board.beat("dataflow:barrier:rearm");
-    barrier_.arrive_and_wait();  // queue re-armed for everyone
+    // Queue re-armed for everyone.
+    sync_point("dataflow:barrier:rearm", tid, step, &barrier_);
 
     if (observer && ((step + 1) % observer_interval == 0)) {
       if (tid == 0) observer(*this, steps_completed_ - 1);
-      barrier_.arrive_and_wait();
+      sync_point("dataflow:barrier:observer", tid, step, &barrier_);
     }
   }
 }
@@ -363,44 +377,19 @@ void DataflowCubeSolver::run_overlapped(Index num_steps) {
   // collide(t+1) starts overwriting them. The grid's own bases are
   // reconciled once after the run.
   const bool p0 = grid_.swap_parity();
+  const bool fused = params_.fused_step;
 
   ThreadTeam team(params_.num_threads);
   team.run([&](int tid) {
-    ProgressBoard& board = ProgressBoard::global();
-    for (;;) {
-      const Size slot = head.fetch_add(1, std::memory_order_relaxed);
-      if (slot >= total_tasks) break;
-      board.beat("dataflow:overlapped-task");
-      std::int64_t task;
-      LBMIB_MC_CHECK(if (mc::active()) {
-        mc::sched_point(mc::Op::kEdgeAcquire, &queue[slot]);
-        const CancelToken* token = CancelToken::current();
-        mc::wait_until(&queue[slot], [&queue, slot, token] {
-          return queue[slot].load(std::memory_order_acquire) !=
-                     kEmptySlot ||
-                 (token != nullptr && token->cancelled());
-        });
-        if (queue[slot].load(std::memory_order_acquire) == kEmptySlot) {
-          cancel_point("dataflow:overlapped-slot-wait");
-        }
-      })
-      int spins = 0;
-      while ((task = queue[slot].load(std::memory_order_acquire)) ==
-             kEmptySlot) {
-        if (++spins >= 256) {
-          spins = 0;
-          cancel_point("dataflow:overlapped-slot-wait");
-          std::this_thread::yield();
-        } else {
-#if defined(__x86_64__) || defined(__i386__)
-          __builtin_ia32_pause();
-#endif
-        }
-      }
-      ++tasks_executed_[static_cast<Size>(tid)];
-      LBMIB_TRACE_ON(if (obs::Tracer::active()) {
-        obs::metric_dataflow_tasks().inc();
-      })
+    KernelProfiler& prof = thread_profiles_[static_cast<Size>(tid)];
+    Size tasks = 0;
+    for (Size slot = head.fetch_add(1, std::memory_order_relaxed);
+         slot < total_tasks;
+         slot = head.fetch_add(1, std::memory_order_relaxed)) {
+      sync_point("dataflow:overlapped-task", tid, -1);
+      const std::int64_t task =
+          await_task(queue[slot], "dataflow:overlapped-slot-wait");
+      ++tasks;
       LBMIB_RACE_CHECK(
           race::context("dataflow solver: overlapped task loop");
           race::edge_acquire(&queue[slot]);)
@@ -413,73 +402,61 @@ void DataflowCubeSolver::run_overlapped(Index num_steps) {
       const bool src_parity = p0 != ((step & 1) != 0);
       const Size src_base = CubeGrid::df_base_for(src_parity);
       const Size dst_base = CubeGrid::df_base_for(!src_parity);
-      LBMIB_TRACE_SPAN(obs::SpanCat::kTask,
-                       is_collide ? "task.collide_stream"
-                                  : "task.update_copy",
-                       static_cast<std::int64_t>(cube));
 
       if (is_collide) {
-        if (params_.fused_step) {
-          if (mrt_) {
-            cube_mrt_collide_stream(grid_, *mrt_, cube, src_base, dst_base,
-                                    params_.simd_step);
-          } else {
-            cube_collide_stream(grid_, params_.tau, cube, src_base,
-                                dst_base, params_.simd_step);
-          }
-        } else {
-          if (mrt_) {
-            cube_mrt_collide(grid_, *mrt_, cube);
-          } else {
-            cube_collide(grid_, params_.tau, cube);
-          }
-          cube_stream(grid_, cube);
-        }
         // Enable update(step, n) for completed neighbourhoods.
-        for (Size n : region_[cube]) {
-          auto& counter = pending[(2 + parity) * ncubes + n];
-          LBMIB_MC_CHECK(mc::sched_point(mc::Op::kEdgeAcqRel, &counter);)
-          LBMIB_RACE_CHECK(race::edge_acq_rel(&counter);)
-          if (counter.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            LBMIB_RACE_CHECK(race::edge_acquire(&counter);)
-            counter.store(pending_init_[n], std::memory_order_relaxed);
-            publish(-(static_cast<std::int64_t>(step * per_step + n) + 1));
-          }
-        }
-      } else {
-        if (params_.fused_step) {
-          // Fiber-free: the IB footprint is empty, so kernel 7 has no
-          // node to compute — every rho/u stays stale until read.
-          if (uses_inlet_outlet(params_.boundary)) {
-            cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube,
-                                    dst_base);
-          }
-        } else {
-          if (uses_inlet_outlet(params_.boundary)) {
-            cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
-          }
-          cube_update_velocity(grid_, cube);
-          count_velocity_update(grid_.nodes_per_cube());
-          cube_copy_distributions(grid_, cube);
-        }
-        if (step + 1 < static_cast<Size>(num_steps)) {
-          // Enable collide(step+1, n): it may only touch cubes whose
-          // step-`step` state is fully retired.
-          const Size next_parity = (step + 1) & 1;
+        collide_stream_task(prof, cube, src_base, dst_base, [&] {
           for (Size n : region_[cube]) {
-            auto& counter = pending[next_parity * ncubes + n];
+            auto& counter = pending[(2 + parity) * ncubes + n];
             LBMIB_MC_CHECK(mc::sched_point(mc::Op::kEdgeAcqRel, &counter);)
             LBMIB_RACE_CHECK(race::edge_acq_rel(&counter);)
             if (counter.fetch_sub(1, std::memory_order_acq_rel) == 1) {
               LBMIB_RACE_CHECK(race::edge_acquire(&counter);)
               counter.store(pending_init_[n], std::memory_order_relaxed);
-              publish(static_cast<std::int64_t>((step + 1) * per_step + n) +
-                      1);
+              publish(-(static_cast<std::int64_t>(step * per_step + n) + 1));
             }
+          }
+        });
+        continue;
+      }
+      const PhaseScope phase(prof, Kernel::kUpdateVelocity, fused,
+                             static_cast<std::int64_t>(cube));
+      if (fused) {
+        // Fiber-free: the IB footprint is empty, so kernel 7 has no
+        // node to compute — every rho/u stays stale until read.
+        if (uses_inlet_outlet(params_.boundary)) {
+          cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube,
+                                  dst_base);
+        }
+      } else {
+        if (uses_inlet_outlet(params_.boundary)) {
+          cube_apply_inlet_outlet(grid_, params_.inlet_velocity, cube);
+        }
+        cube_update_velocity(grid_, cube);
+        count_velocity_update(grid_.nodes_per_cube());
+        cube_copy_distributions(grid_, cube);
+      }
+      if (step + 1 < static_cast<Size>(num_steps)) {
+        // Enable collide(step+1, n): it may only touch cubes whose
+        // step-`step` state is fully retired.
+        const Size next_parity = (step + 1) & 1;
+        for (Size n : region_[cube]) {
+          auto& counter = pending[next_parity * ncubes + n];
+          LBMIB_MC_CHECK(mc::sched_point(mc::Op::kEdgeAcqRel, &counter);)
+          LBMIB_RACE_CHECK(race::edge_acq_rel(&counter);)
+          if (counter.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            LBMIB_RACE_CHECK(race::edge_acquire(&counter);)
+            counter.store(pending_init_[n], std::memory_order_relaxed);
+            publish(static_cast<std::int64_t>((step + 1) * per_step + n) +
+                    1);
           }
         }
       }
     }
+    tasks_executed_[static_cast<Size>(tid)] += tasks;
+    LBMIB_TRACE_ON(if (obs::Tracer::active()) {
+      obs::metric_dataflow_tasks().inc(static_cast<double>(tasks));
+    })
   });
   // The queue and counters live on this stack frame; drop their sync-var
   // clocks so a future allocation at the same address starts clean.
@@ -487,7 +464,7 @@ void DataflowCubeSolver::run_overlapped(Index num_steps) {
     for (const auto& q : queue) rd->forget_sync(&q);
     for (const auto& p : pending) rd->forget_sync(&p);
   })
-  if (params_.fused_step) {
+  if (fused) {
     // Reconcile the grid's bases with where the last step left the data:
     // step num_steps-1 wrote its result at parity p0 ^ (num_steps & 1).
     grid_.set_swap_parity(p0 != ((num_steps & 1) != 0));
@@ -502,21 +479,15 @@ void DataflowCubeSolver::run_overlapped(Index num_steps) {
 void DataflowCubeSolver::run_loop(Index num_steps,
                                   const StepObserver& observer,
                                   Index observer_interval) {
+  // Only worker 0 advances steps_completed_ during the run, so every
+  // worker takes the run's first step and stamp from here.
+  const Index first_step = steps_completed_;
   const IbFootprint::Stamp first_stamp = footprint_stamp_ + 1;
   ThreadTeam team(params_.num_threads);
   team.run([&](int tid) {
-    thread_entry(tid, num_steps, first_stamp, observer, observer_interval);
+    thread_entry(tid, first_step, num_steps, first_stamp, observer,
+                 observer_interval);
   });
-  // Aggregate profiler: max across threads per kernel.
-  for (int k = 0; k < kNumKernels; ++k) {
-    double max_time = 0.0;
-    for (const KernelProfiler& p : thread_profiles_) {
-      max_time = std::max(max_time, p.seconds(static_cast<Kernel>(k)));
-    }
-    profiler_.add(static_cast<Kernel>(k),
-                  max_time - profiler_merge_mark_[static_cast<Size>(k)]);
-    profiler_merge_mark_[static_cast<Size>(k)] = max_time;
-  }
 }
 
 void DataflowCubeSolver::step() { run_loop(1, nullptr, 1); }

@@ -55,10 +55,6 @@ class DataflowCubeSolver final : public Solver {
            Index observer_interval = 1) override;
   std::string name() const override { return "dataflow"; }
 
-  std::vector<KernelProfiler> per_thread_profiles() const override {
-    return thread_profiles_;
-  }
-
   /// The cube grid with rho/u materialized.
   CubeGrid& cubes() {
     materialize_macroscopic();
@@ -84,7 +80,8 @@ class DataflowCubeSolver final : public Solver {
   void copy_fluid(FluidGrid& out) const override { grid_.to_planar(out); }
   Size recompute_stale_macroscopic() const override;
 
-  void thread_entry(int tid, Index num_steps, IbFootprint::Stamp first_stamp,
+  void thread_entry(int tid, Index first_step, Index num_steps,
+                    IbFootprint::Stamp first_stamp,
                     const StepObserver& observer, Index observer_interval);
   void run_loop(Index num_steps, const StepObserver& observer,
                 Index observer_interval);
@@ -95,6 +92,20 @@ class DataflowCubeSolver final : public Solver {
 
   /// Fiber-free cross-step pipeline: all steps as one task graph.
   void run_overlapped(Index num_steps);
+
+  /// Wait until a queue slot holds a task and return it; the wait is a
+  /// "task.wait" span and, on its slow path, the cancellation point
+  /// `wait_label`.
+  static std::int64_t await_task(std::atomic<std::int64_t>& slot,
+                                 const char* wait_label);
+
+  /// A COLLIDE+STREAM task: kernels 5+6 on `cube` (reading df at
+  /// src_base, pushing into dst_base under the fused pipeline), then
+  /// `resolve` publishes the tasks it enables; each phase is billed to
+  /// prof.
+  template <typename Resolve>
+  void collide_stream_task(KernelProfiler& prof, Size cube, Size src_base,
+                           Size dst_base, Resolve&& resolve);
 
   /// mutable: rho/u are a cache materialize_macroscopic fills on demand.
   mutable CubeGrid grid_;
@@ -117,9 +128,7 @@ class DataflowCubeSolver final : public Solver {
   std::atomic<Size> fiber_cursor_{0};
   std::atomic<Size> move_cursor_{0};
 
-  std::vector<KernelProfiler> thread_profiles_;
   std::vector<Size> tasks_executed_;
-  std::array<double, kNumKernels> profiler_merge_mark_{};
 };
 
 }  // namespace lbmib

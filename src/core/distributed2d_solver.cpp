@@ -1,8 +1,7 @@
 #include "core/distributed2d_solver.hpp"
 
-#include <chrono>
-
 #include "common/error.hpp"
+#include "core/phase.hpp"
 #include "ib/fiber_forces.hpp"
 #include "ib/footprint.hpp"
 #include "ib/spreading.hpp"
@@ -16,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
-#include "parallel/chaos.hpp"
 #include "parallel/race_detector.hpp"
 #include "parallel/thread_team.hpp"
 
@@ -117,20 +115,21 @@ void for_each_tile_stencil_node(const Distributed2DSolver::Tile& tile,
 
 Distributed2DSolver::Distributed2DSolver(const SimulationParams& params,
                                          SolverKind kind)
-    : Solver(params),
+    : Solver(params, params.num_threads),
       kind_(kind),
       comm_(params.num_threads),
       reduce_comm_(params.num_threads),
-      barrier_(params.num_threads),
-      rank_profiles_(static_cast<Size>(params.num_threads)) {
+      barrier_(params.num_threads) {
   static constexpr SyncLabels kSlabLabels{
-      "distributed solver",     "distributed:step",
-      "distributed:step:start", "distributed:halo",
-      "distributed:allreduce",  "distributed:barrier:step-end"};
+      "distributed solver",           "distributed:step",
+      "distributed:step:start",       "distributed:halo",
+      "distributed:allreduce",        "distributed:barrier:step-end",
+      "distributed:barrier:observer"};
   static constexpr SyncLabels kTileLabels{
-      "distributed 2d solver",    "distributed2d:step",
-      "distributed2d:step:start", "distributed2d:halo",
-      "distributed2d:allreduce",  "distributed2d:barrier:step-end"};
+      "distributed 2d solver",          "distributed2d:step",
+      "distributed2d:step:start",       "distributed2d:halo",
+      "distributed2d:allreduce",        "distributed2d:barrier:step-end",
+      "distributed2d:barrier:observer"};
   require(kind == SolverKind::kDistributed ||
               kind == SolverKind::kDistributed2D,
           "distributed solver kind must be distributed or distributed2d");
@@ -442,12 +441,8 @@ void Distributed2DSolver::rank_entry(int rank, const RunStart& start,
                                      Index num_steps,
                                      const StepObserver& observer,
                                      Index observer_interval) {
-  using Clock = std::chrono::steady_clock;
-  auto since = [](Clock::time_point t0) {
-    return std::chrono::duration<double>(Clock::now() - t0).count();
-  };
   Rank& r = ranks_[static_cast<Size>(rank)];
-  KernelProfiler& prof = rank_profiles_[static_cast<Size>(rank)];
+  KernelProfiler& prof = thread_profiles_[static_cast<Size>(rank)];
   FluidGrid& grid = *r.grid;
   LBMIB_RACE_CHECK(race::context(labels_->race_context);)
   const Index lnx = r.tile.x_hi - r.tile.x_lo;
@@ -477,22 +472,34 @@ void Distributed2DSolver::rank_entry(int rank, const RunStart& start,
     return nodes;
   };
 
-  ProgressBoard& board = ProgressBoard::global();
   for (Index step = 0; step < num_steps; ++step) {
     LBMIB_TRACE_SPAN(obs::SpanCat::kStep, "step",
-                     static_cast<std::int64_t>(step));
+                     static_cast<std::int64_t>(start.step + step));
     cancel_point(labels_->step);
-    board.beat(labels_->step_start);
+    sync_point(labels_->step_start, rank, step);
     const IbFootprint::Stamp stamp =
         start.stamp + static_cast<IbFootprint::Stamp>(step);
-    {  // kernels 1-4 on the replica, spread into own tile only
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "fiber_forces_spread");
-      auto t0 = Clock::now();
+    // Kernels 1-4 on the replica, spread into the own tile only.
+    {
+      const PhaseScope phase(prof, Kernel::kBendingForce, fused);
       for (FiberSheet& sheet : r.structure) {
         compute_bending_force(sheet, 0, sheet.num_fibers());
+      }
+    }
+    {
+      const PhaseScope phase(prof, Kernel::kStretchingForce, fused);
+      for (FiberSheet& sheet : r.structure) {
         compute_stretching_force(sheet, 0, sheet.num_fibers());
+      }
+    }
+    {
+      const PhaseScope phase(prof, Kernel::kElasticForce, fused);
+      for (FiberSheet& sheet : r.structure) {
         compute_elastic_force(sheet, 0, sheet.num_fibers());
       }
+    }
+    {
+      const PhaseScope phase(prof, Kernel::kSpreadForce, fused);
       if (fused && (step > 0 || start.forces_tracked)) {
         over_tile_rows([&](Size c0, Size c1, Size node) {
           return reset_forces_on_footprint(grid, r.footprint, stamp - 1, c0,
@@ -507,23 +514,20 @@ void Distributed2DSolver::rank_entry(int rank, const RunStart& start,
         }
       }
       spread_forces_local(r);
-      prof.add(Kernel::kSpreadForce, since(t0));
     }
-    if (params_.fused_step) {
-      // Kernels 5+6 as one pass over the real tile (x/y pushes land in
-      // the ghost layers without wrapping, z wraps — the tile variant
-      // mirrors stream_local exactly); the halo exchange then ships the
-      // freshly-pushed crossing populations as in the reference pipeline.
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel, "collide_stream");
-      auto t0 = Clock::now();
+    // Kernel 6's communication half, the halo exchange, closes the
+    // streaming phase: the fused sweep's (kernels 5+6, x/y pushes land
+    // in the ghost layers, z wraps — the tile variant mirrors
+    // stream_local exactly) or the reference pipeline's stream.
+    if (fused) {
+      const PhaseScope phase(prof, Kernel::kCollision, fused);
       fused_collide_stream_tile(grid, params_.tau, mrt_.get(), 1, lnx, 1,
                                 lny, params_.simd_step);
-      prof.add(Kernel::kCollision, since(t0));
+      sync_point(labels_->halo, rank, step);
+      exchange_halos(rank, start.step + step);
     } else {
-      {  // kernel 5
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kCollision));
-        auto t0 = Clock::now();
+      {
+        const PhaseScope phase(prof, Kernel::kCollision, fused);
         for (Index lx = 1; lx <= lnx; ++lx) {
           const auto [begin, end] = row_range(lx);
           if (mrt_) {
@@ -532,27 +536,14 @@ void Distributed2DSolver::rank_entry(int rank, const RunStart& start,
             collide_range(grid, params_.tau, begin, end);
           }
         }
-        prof.add(Kernel::kCollision, since(t0));
       }
-      {  // kernel 6
-        LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                         kernel_short_name(Kernel::kStreaming));
-        auto t0 = Clock::now();
-        stream_local(r);
-        prof.add(Kernel::kStreaming, since(t0));
-      }
-    }
-    {  // kernel 6's communication half keeps the streaming bucket
-      auto t0 = Clock::now();
-      board.beat(labels_->halo);
-      if (chaos::enabled()) chaos::sync_point(labels_->halo, rank, step);
+      const PhaseScope phase(prof, Kernel::kStreaming, fused);
+      stream_local(r);
+      sync_point(labels_->halo, rank, step);
       exchange_halos(rank, start.step + step);
-      prof.add(Kernel::kStreaming, since(t0));
     }
     {  // kernel 7 (+ boundary pass)
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kUpdateVelocity));
-      auto t0 = Clock::now();
+      const PhaseScope phase(prof, Kernel::kUpdateVelocity, fused);
       if (uses_inlet_outlet(params_.boundary)) {
         apply_inlet_outlet_local(r, rank);
       }
@@ -571,28 +562,17 @@ void Distributed2DSolver::rank_entry(int rank, const RunStart& start,
         }
         count_velocity_update(nodes);
       }
-      prof.add(Kernel::kUpdateVelocity, since(t0));
     }
     {  // kernel 8
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       kernel_short_name(Kernel::kMoveFibers));
-      auto t0 = Clock::now();
-      board.beat(labels_->allreduce);
-      if (chaos::enabled()) {
-        chaos::sync_point(labels_->allreduce, rank, step);
-      }
+      const PhaseScope phase(prof, Kernel::kMoveFibers, fused);
+      sync_point(labels_->allreduce, rank, step);
       move_fibers_allreduce(r, rank);
-      prof.add(Kernel::kMoveFibers, since(t0));
     }
     {  // kernel 9: per-rank O(1) swap when fused. The ghost layers' df
        // goes stale under the swap, but ghost df is never read — collision
        // touches only the real tile and the halo exchange reads df_new.
-      LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                       params_.fused_step
-                           ? "swap_df"
-                           : kernel_short_name(Kernel::kCopyDistribution));
-      auto t0 = Clock::now();
-      if (params_.fused_step) {
+      const PhaseScope phase(prof, Kernel::kCopyDistribution, fused);
+      if (fused) {
         grid.swap_buffers();
       } else {
         for (Index lx = 1; lx <= lnx; ++lx) {
@@ -600,11 +580,9 @@ void Distributed2DSolver::rank_entry(int rank, const RunStart& start,
           copy_distributions_range(grid, begin, end);
         }
       }
-      prof.add(Kernel::kCopyDistribution, since(t0));
     }
 
-    board.beat(labels_->step_end);
-    barrier_.arrive_and_wait();
+    sync_point(labels_->step_end, rank, step, &barrier_);
     if (rank == 0) {
       // Only rank 0 touches the solver's bookkeeping; the others derive
       // their stamps from `start`.
@@ -616,7 +594,7 @@ void Distributed2DSolver::rank_entry(int rank, const RunStart& start,
         structure_ = r.structure;
         observer(*this, steps_completed_ - 1);
       }
-      barrier_.arrive_and_wait();
+      sync_point(labels_->observer, rank, step, &barrier_);
     }
   }
 }
@@ -633,20 +611,6 @@ void Distributed2DSolver::run_loop(Index num_steps,
     rank_entry(rank, start, num_steps, observer, observer_interval);
   });
   structure_ = ranks_[0].structure;
-  // Rank profiles are cumulative, so every step bucket is rebuilt from
-  // them; materialize_macroscopic charges profiler_ directly.
-  KernelProfiler merged;
-  for (int k = 0; k < kNumKernels; ++k) {
-    const auto kernel = static_cast<Kernel>(k);
-    double max_time = 0.0;
-    for (const KernelProfiler& p : rank_profiles_) {
-      max_time = std::max(max_time, p.seconds(kernel));
-    }
-    merged.add(kernel, kernel == Kernel::kMaterializeMacroscopic
-                           ? profiler_.seconds(kernel)
-                           : max_time);
-  }
-  profiler_ = merged;
 }
 
 void Distributed2DSolver::step() { run_loop(1, nullptr, 1); }

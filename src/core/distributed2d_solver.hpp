@@ -64,10 +64,6 @@ class Distributed2DSolver final : public Solver {
     return std::string(solver_kind_name(kind_));
   }
 
-  std::vector<KernelProfiler> per_thread_profiles() const override {
-    return rank_profiles_;
-  }
-
   int ranks_x() const { return rx_; }
   int ranks_y() const { return ry_; }
 
@@ -108,6 +104,7 @@ class Distributed2DSolver final : public Solver {
     const char* halo;
     const char* allreduce;
     const char* step_end;
+    const char* observer;
   };
 
   void restore_fluid(const FluidGrid& fluid) override;
@@ -147,7 +144,6 @@ class Distributed2DSolver final : public Solver {
   // instead of blocking until the watchdog trips.
   Communicator reduce_comm_;
   BlockingBarrier barrier_;
-  std::vector<KernelProfiler> rank_profiles_;
 };
 
 }  // namespace lbmib

@@ -10,8 +10,6 @@
 // imbalance (max-avg)/max can be computed from per_thread_profiles().
 #pragma once
 
-#include <array>
-
 #include "core/solver.hpp"
 
 namespace lbmib {
@@ -22,10 +20,6 @@ class OpenMPSolver final : public Solver {
 
   void step() override;
   std::string name() const override { return "openmp"; }
-
-  std::vector<KernelProfiler> per_thread_profiles() const override {
-    return thread_profiles_;
-  }
 
   /// The planar grid with rho/u materialized; see SequentialSolver::fluid.
   FluidGrid& fluid() {
@@ -49,10 +43,6 @@ class OpenMPSolver final : public Solver {
   /// mutable: rho/u are a cache materialize_macroscopic fills on demand.
   mutable FluidGrid grid_;
   IbFootprint footprint_;  ///< rows of grid_
-  std::vector<KernelProfiler> thread_profiles_;
-  // Cumulative per-kernel max-over-threads time already merged into the
-  // aggregate profiler (thread profiles are cumulative across steps).
-  std::array<double, kNumKernels> profiler_merge_mark_{};
 };
 
 }  // namespace lbmib

@@ -178,22 +178,7 @@ bool Simulation::enable_perf_counters() {
 
 namespace {
 
-/// Profiler bucket -> the span name counters accumulate under, plus
-/// whether the kernel sweeps lattice nodes or fiber points. The fused
-/// pipeline folds streaming into the collision bucket and reduces the
-/// copy bucket to an O(1) swap (no traffic model entry, so it drops
-/// out of the roofline), mirroring sequential_solver.cpp.
-const char* roofline_span_name(Kernel k, bool fused) {
-  switch (k) {
-    case Kernel::kCollision:
-      return fused ? "collide_stream" : "collide";
-    case Kernel::kCopyDistribution:
-      return fused ? "swap_df" : "copy_df";
-    default:
-      return kernel_short_name(k);
-  }
-}
-
+/// Whether a kernel sweeps lattice nodes (else fiber points).
 bool is_node_kernel(Kernel k) {
   switch (k) {
     case Kernel::kCollision:
@@ -238,57 +223,24 @@ perfmodel::RooflineReport Simulation::roofline_report() const {
   // Seconds of the critical (slowest) thread per kernel: roofline
   // achieved-GB/s is per-socket traffic over the wall time the kernel
   // actually gated, and the per-thread max is that wall time under the
-  // barrier-synchronized pipelines.
-  const std::vector<KernelProfiler> per_thread =
-      solver_->per_thread_profiles();
+  // barrier-synchronized pipelines. Every solver records each kernel
+  // under kernel_span_name, so rows and counter sums join by name.
+  const KernelProfiler& critical = solver_->profiler();
   std::vector<perfmodel::KernelMeasurement> ms;
   for (int k = 0; k < kNumKernels; ++k) {
     const Kernel kernel = static_cast<Kernel>(k);
-    double max_s = 0.0;
-    for (const KernelProfiler& prof : per_thread) {
-      max_s = std::max(max_s, prof.seconds(kernel));
-    }
-    if (max_s <= 0.0) max_s = solver_->profiler().seconds(kernel);
     perfmodel::KernelMeasurement m;
-    m.name = roofline_span_name(kernel, p.fused_step);
-    m.seconds = max_s;
+    m.name = kernel_span_name(kernel, p.fused_step);
+    m.seconds = critical.seconds(kernel);
     m.units = units_of(kernel);
     ms.push_back(std::move(m));
   }
 
-  // Join the hardware-counter sums recorded under the same span names.
-  // The dataflow pipeline records under task names the profiler table
-  // does not carry, so append any counter rows the map above missed.
   for (const obs::KernelCounters& kc : obs::PerfCounters::snapshot()) {
-    perfmodel::KernelMeasurement* row = nullptr;
-    for (perfmodel::KernelMeasurement& m : ms) {
-      if (m.name == kc.name) {
-        row = &m;
-        break;
-      }
-    }
-    if (row == nullptr) {
-      // Span names without a profiler bucket (the dataflow task spans,
-      // the distributed solvers' fused fiber pass). Only modeled names
-      // can be classified, and the traffic table's unit tells whether
-      // the span family sweeps the grid or the structure once per step.
-      const perfmodel::KernelTraffic* traffic =
-          perfmodel::kernel_traffic(kc.name);
-      if (traffic == nullptr) continue;
-      perfmodel::KernelMeasurement extra;
-      extra.name = kc.name;
-      extra.seconds =
-          kc.value[static_cast<int>(obs::PerfEvent::kTaskClock)] / 1e9;
-      // The dataflow update task runs kernel 7 (it visits every cube,
-      // but computes rho/u only on the footprint's cubes when fused).
-      extra.units =
-          kc.name == "task.update_copy"
-              ? units_of(Kernel::kUpdateVelocity)
-              : (std::string("node") == traffic->unit ? nodes : points) *
-                    steps;
-      ms.push_back(std::move(extra));
-      row = &ms.back();
-    }
+    const auto row = std::find_if(
+        ms.begin(), ms.end(),
+        [&](const perfmodel::KernelMeasurement& m) { return m.name == kc.name; });
+    if (row == ms.end()) continue;
     const obs::PerfAvailability& granted = obs::PerfCounters::availability();
     auto granted_event = [&](obs::PerfEvent e) {
       return granted.event[static_cast<Size>(e)];

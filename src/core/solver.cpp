@@ -1,18 +1,20 @@
 #include "core/solver.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "core/cube_solver.hpp"
 #include "core/dataflow_solver.hpp"
 #include "core/distributed2d_solver.hpp"
 #include "core/openmp_solver.hpp"
+#include "core/phase.hpp"
 #include "core/sequential_solver.hpp"
-#include "obs/trace.hpp"
 #include "parallel/cancel.hpp"
 
 namespace lbmib {
 
-Solver::Solver(const SimulationParams& params) : params_(params) {
+Solver::Solver(const SimulationParams& params, int workers)
+    : params_(params), thread_profiles_(static_cast<Size>(workers)) {
   params_.validate();
   structure_ = make_structure(params_);
   if (params_.collision == CollisionModel::kMRT) {
@@ -45,12 +47,23 @@ void Solver::restore_state(const FluidGrid& fluid,
 
 void Solver::materialize_macroscopic() const {
   if (!macroscopic_stale_) return;
-  LBMIB_TRACE_SPAN(obs::SpanCat::kKernel,
-                   kernel_short_name(Kernel::kMaterializeMacroscopic));
-  const WallTimer timer;
+  const PhaseScope phase(on_demand_profile_,
+                         Kernel::kMaterializeMacroscopic, params_.fused_step);
   materialized_nodes_ += static_cast<double>(recompute_stale_macroscopic());
   macroscopic_stale_ = false;
-  profiler_.add(Kernel::kMaterializeMacroscopic, timer.seconds());
+}
+
+const KernelProfiler& Solver::profiler() const {
+  profiler_ = on_demand_profile_;
+  for (int k = 0; k < kNumKernels; ++k) {
+    const auto kernel = static_cast<Kernel>(k);
+    double slowest = 0.0;
+    for (const KernelProfiler& p : thread_profiles_) {
+      slowest = std::max(slowest, p.seconds(kernel));
+    }
+    profiler_.add(kernel, slowest);
+  }
+  return profiler_;
 }
 
 void Solver::run(Index num_steps, const StepObserver& observer,

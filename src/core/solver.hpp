@@ -28,7 +28,8 @@ namespace lbmib {
 
 class Solver {
  public:
-  explicit Solver(const SimulationParams& params);
+  /// `workers` sizes per_thread_profiles(): the threads that step.
+  Solver(const SimulationParams& params, int workers);
   virtual ~Solver() = default;
 
   Solver(const Solver&) = delete;
@@ -112,14 +113,15 @@ class Solver {
 
   Index steps_completed() const { return steps_completed_; }
 
-  /// Aggregated per-kernel wall time (all threads merged).
-  const KernelProfiler& profiler() const { return profiler_; }
-  KernelProfiler& profiler() { return profiler_; }
+  /// Per-kernel wall time of the critical thread: per kernel, the
+  /// slowest thread's seconds (the wall time that phase gated), plus
+  /// the on-demand materialize_macroscopic time.
+  const KernelProfiler& profiler() const;
 
-  /// Per-thread per-kernel times for load-imbalance analysis; planar
-  /// sequential returns a single entry.
-  virtual std::vector<KernelProfiler> per_thread_profiles() const {
-    return {profiler_};
+  /// Per-thread per-kernel times for load-imbalance analysis, one entry
+  /// per worker (sequential has one).
+  std::vector<KernelProfiler> per_thread_profiles() const {
+    return thread_profiles_;
   }
 
  protected:
@@ -156,8 +158,9 @@ class Solver {
   Structure structure_;  ///< never empty; [0] is the primary sheet
   /// Non-null iff params.collision == kMRT; shared by all kernel phases.
   std::unique_ptr<MrtOperator> mrt_;
-  /// mutable: const readers charge materialize_macroscopic to it.
-  mutable KernelProfiler profiler_;
+  /// Worker t charges its phases to thread_profiles_[t] (PhaseScope,
+  /// core/phase.hpp); one entry per worker, sized by the constructor.
+  std::vector<KernelProfiler> thread_profiles_;
   Index steps_completed_ = 0;
 
   // --- fused pipeline: footprint bookkeeping (DESIGN.md §11) -------------
@@ -176,6 +179,10 @@ class Solver {
  private:
   std::atomic<std::uint64_t> velocity_update_nodes_{0};
   mutable double materialized_nodes_ = 0.0;
+  /// materialize_macroscopic's time (charged by whichever thread reads).
+  mutable KernelProfiler on_demand_profile_;
+  /// profiler()'s fold of thread_profiles_ and on_demand_profile_.
+  mutable KernelProfiler profiler_;
 };
 
 /// Which solver implementation to instantiate. kDataflow is the

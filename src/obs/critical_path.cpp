@@ -15,7 +15,6 @@ enum class Bucket : int { kNone = 0, kCompute = 1, kHalo = 2, kWait = 3 };
 Bucket bucket_of(SpanCat cat) {
   switch (cat) {
     case SpanCat::kKernel:
-    case SpanCat::kTask:
       return Bucket::kCompute;
     case SpanCat::kHalo:
     case SpanCat::kCheckpoint:
@@ -160,7 +159,9 @@ CriticalPathReport attribute_spans(const std::vector<SpanEvent>& events) {
 }
 
 CriticalPathReport attribute_current_session() {
-  return attribute_spans(Tracer::drain());
+  CriticalPathReport report = attribute_spans(Tracer::drain());
+  report.dropped_events = Tracer::dropped();
+  return report;
 }
 
 std::string CriticalPathReport::to_string() const {
@@ -193,6 +194,11 @@ std::string CriticalPathReport::to_string() const {
     row(name, tp.breakdown);
   }
   row("critical", critical);
+  if (dropped_events > 0) {
+    os << "partial: " << dropped_events
+       << " events lost to trace ring wrap-around; the table covers "
+       << steps << " steps\n";
+  }
   return os.str();
 }
 

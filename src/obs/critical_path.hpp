@@ -2,30 +2,31 @@
 // leg of the performance observatory (DESIGN.md §18).
 //
 // Input is the span list the tracer records anyway (Tracer::drain()):
-// per-thread kStep windows with kKernel/kTask/kBarrier/kHalo/
-// kCheckpoint children. For every step window the analyzer attributes
-// the window's wall time to four buckets:
+// per-thread kStep windows with kKernel/kBarrier/kHalo/kCheckpoint
+// children. For every step window the analyzer attributes the window's
+// wall time to four buckets:
 //
-//   compute  — time covered by kernel or task spans,
-//   barrier  — time covered by barrier arrive-to-leave waits,
+//   compute  — time covered by kernel spans,
+//   barrier  — time covered by barrier (and task-slot) waits,
 //   halo     — halo exchanges and checkpoint serialization,
 //   serial   — the remainder: orchestration, fiber bookkeeping, and
 //              any section no span brackets (the "serial fraction"
 //              Amdahl charges the step with).
 //
 // Overlapping spans are resolved by priority (barrier > halo >
-// compute): a barrier wait inside a task span counts as waiting, not
-// work. The *critical path* is then assembled per step: the thread
+// compute): a barrier wait inside a kernel span counts as waiting,
+// not work. The *critical path* is then assembled per step: the thread
 // whose step span is longest gates the step's completion, so its
 // breakdown is what the step actually paid — summed over steps this
 // answers "would removing barrier waits speed anything up, or is the
 // critical thread computing the whole time?" (the live version of the
 // paper's Table II imbalance argument).
 //
-// Used three ways: kernel_report() appendix after a traced run, the
-// watchdog hang report (attribute whatever the rings hold when a hang
-// trips), and scripts/analyze_trace.py implements the same walk over
-// exported Chrome JSON for offline traces.
+// Used two ways: the Simulation::profile_report() appendix after a
+// traced run (what lbmib_run prints), and the watchdog hang report
+// (attribute whatever the rings hold when a hang trips). When the
+// tracer's rings wrapped, the table covers only the newest steps and
+// says so.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +40,7 @@ namespace lbmib::obs {
 /// Wall-time attribution of one thread (or of the critical path).
 struct PathBreakdown {
   double step_seconds = 0.0;     ///< total step-window wall time
-  double compute_seconds = 0.0;  ///< kernel + task coverage
+  double compute_seconds = 0.0;  ///< kernel coverage
   double barrier_seconds = 0.0;  ///< barrier arrive-to-leave waits
   double halo_seconds = 0.0;     ///< halo exchange + checkpoint
   double serial_seconds = 0.0;   ///< uncovered remainder
@@ -67,6 +68,9 @@ struct CriticalPathReport {
   /// longest, summed over steps. Empty trace -> all zeros.
   PathBreakdown critical;
   std::uint64_t steps = 0;  ///< distinct step args seen
+  /// Events the tracer lost to ring wrap-around before attribution; the
+  /// table then covers only `steps` of the run (the newest ones).
+  Size dropped_events = 0;
 
   bool empty() const { return threads.empty(); }
   /// Fixed-width per-thread table plus the critical-path summary line.
@@ -77,7 +81,8 @@ struct CriticalPathReport {
 /// threads that recorded no kStep window are ignored).
 CriticalPathReport attribute_spans(const std::vector<SpanEvent>& events);
 
-/// Convenience: drain the current tracer session and attribute it.
+/// Convenience: drain the current tracer session and attribute it,
+/// recording Tracer::dropped() in the report.
 /// Requires the tracer drain() quiescence contract, except from the
 /// watchdog hang path where a torn in-flight span merely perturbs one
 /// step's numbers.

@@ -63,8 +63,6 @@ const char* to_string(SpanCat cat) {
       return "kernel";
     case SpanCat::kBarrier:
       return "barrier";
-    case SpanCat::kTask:
-      return "task";
     case SpanCat::kHalo:
       return "halo";
     case SpanCat::kCheckpoint:
@@ -94,17 +92,29 @@ std::int64_t Tracer::now_ns() {
       .count();
 }
 
-void record_span(SpanCat cat, const char* name, std::int64_t start_ns,
-                 std::int64_t dur_ns, std::int64_t arg) {
-  if (!Tracer::active()) return;
+namespace {
+
+/// The calling thread's ring, armed for the current session (the first
+/// span of a session on a thread allocates and clears the ring).
+ThreadBuffer& armed_buffer() {
   ThreadBuffer& b = local_buffer();
   const std::uint64_t gen = g_generation.load(std::memory_order_relaxed);
   if (b.generation.load(std::memory_order_relaxed) != gen) {
-    // First span of this session on this thread: arm the ring.
     b.ring.assign(g_capacity.load(std::memory_order_relaxed), SpanEvent{});
     b.pushed.store(0, std::memory_order_relaxed);
     b.generation.store(gen, std::memory_order_relaxed);
   }
+  return b;
+}
+
+}  // namespace
+
+void Tracer::arm_thread() { armed_buffer(); }
+
+void record_span(SpanCat cat, const char* name, std::int64_t start_ns,
+                 std::int64_t dur_ns, std::int64_t arg) {
+  if (!Tracer::active()) return;
+  ThreadBuffer& b = armed_buffer();
   const std::uint64_t n = b.pushed.load(std::memory_order_relaxed);
   SpanEvent& slot = b.ring[n % b.ring.size()];
   slot.start_ns = start_ns;

@@ -4,8 +4,9 @@
 // Spans are RAII scopes (or manual record_span() calls) that land in a
 // lock-free thread-local ring buffer: (start, duration, thread id,
 // category, static name, optional integer arg such as a cube id or
-// rank). Solvers bracket the nine kernels, every barrier wait, dataflow
-// task execution, halo exchanges and the buffer swap, so a trace
+// rank). Solvers bracket the nine kernels (one span per kernel phase,
+// named by kernel_span_name, including each dataflow task), every
+// barrier wait, halo exchanges and the buffer swap, so a trace
 // timeline shows *where inside a step* each thread spends its time —
 // the per-thread imbalance of the paper's Table II, live instead of via
 // the offline perfmodel replay.
@@ -39,11 +40,10 @@ namespace lbmib::obs {
 enum class SpanCat : std::uint8_t {
   kStep = 0,        ///< one full time step (per thread)
   kKernel = 1,      ///< one of the nine Algorithm-1 kernels
-  kBarrier = 2,     ///< barrier arrive-to-leave wait
-  kTask = 3,        ///< dataflow task execution
-  kHalo = 4,        ///< distributed halo exchange
-  kCheckpoint = 5,  ///< checkpoint serialization
-  kOther = 6,
+  kBarrier = 2,     ///< barrier arrive-to-leave (or task-slot) wait
+  kHalo = 3,        ///< distributed halo exchange
+  kCheckpoint = 4,  ///< checkpoint serialization
+  kOther = 5,
 };
 
 const char* to_string(SpanCat cat);
@@ -98,6 +98,12 @@ class Tracer {
   /// Nanoseconds since the session epoch (0 when no session started).
   static std::int64_t now_ns();
 
+  /// Arm the calling thread's ring for the current session, which its
+  /// first recorded span would otherwise do. Span calls it before
+  /// taking its start time, so a thread's first span of a session does
+  /// not leave the ring's allocation as uncovered time in its parent.
+  static void arm_thread();
+
  private:
   friend class Span;
   friend void record_span(SpanCat, const char*, std::int64_t,
@@ -114,7 +120,7 @@ void record_span(SpanCat cat, const char* name, std::int64_t start_ns,
 /// RAII span: records construction-to-destruction as one complete
 /// ("X") event. Near-free when the tracer is stopped.
 ///
-/// Kernel-grade spans (kKernel, kTask) double as the sampling points of
+/// Kernel spans (kKernel) double as the sampling points of
 /// the performance observatory: when a PerfCounters session is active,
 /// the ctor/dtor bracket the scope with counter-group reads and the
 /// delta accrues under the span name (perf_counters.hpp). The two
@@ -125,13 +131,13 @@ class Span {
   explicit Span(SpanCat cat, const char* name, std::int64_t arg = -1)
       : name_(nullptr), perf_name_(nullptr) {
     if (Tracer::active()) {
+      Tracer::arm_thread();
       name_ = name;
       cat_ = cat;
       arg_ = arg;
       start_ns_ = Tracer::now_ns();
     }
-    if ((cat == SpanCat::kKernel || cat == SpanCat::kTask) &&
-        PerfCounters::active()) {
+    if (cat == SpanCat::kKernel && PerfCounters::active()) {
       perf_name_ = name;
       PerfCounters::begin(sample_);
     }

@@ -12,34 +12,23 @@
 
 namespace lbmib {
 
-namespace {
-
 #if LBMIB_TRACE_ENABLED
-/// Tracing side of a barrier passage: one "barrier.wait" span from
-/// arrival to release, whose duration also feeds the barrier-wait
-/// counter (the per-thread wait spans are what make the Table-II style
-/// imbalance visible on the trace timeline).
-class BarrierWaitScope {
- public:
-  BarrierWaitScope()
-      : active_(obs::Tracer::active()),
-        start_ns_(active_ ? obs::Tracer::now_ns() : 0) {}
-  ~BarrierWaitScope() {
-    if (!active_) return;
-    const std::int64_t dur = obs::Tracer::now_ns() - start_ns_;
-    obs::record_span(obs::SpanCat::kBarrier, "barrier.wait", start_ns_,
-                     dur);
-    obs::metric_barrier_wait_seconds().inc(static_cast<double>(dur) *
-                                           1e-9);
-  }
-  BarrierWaitScope(const BarrierWaitScope&) = delete;
-  BarrierWaitScope& operator=(const BarrierWaitScope&) = delete;
+BarrierWaitScope::BarrierWaitScope()
+    : active_(obs::Tracer::active()),
+      start_ns_(active_ ? obs::Tracer::now_ns() : 0) {}
 
- private:
-  const bool active_;
-  const std::int64_t start_ns_;
-};
+BarrierWaitScope::~BarrierWaitScope() {
+  if (!active_) return;
+  const std::int64_t dur = obs::Tracer::now_ns() - start_ns_;
+  obs::record_span(obs::SpanCat::kBarrier, "barrier.wait", start_ns_, dur);
+  obs::metric_barrier_wait_seconds().inc(static_cast<double>(dur) * 1e-9);
+}
+#else
+BarrierWaitScope::BarrierWaitScope() = default;
+BarrierWaitScope::~BarrierWaitScope() = default;
 #endif
+
+namespace {
 
 /// Race-detector side of a barrier passage: arrive (contribute this
 /// thread's clock) must run before the real barrier can complete, leave

@@ -28,6 +28,23 @@
 
 namespace lbmib {
 
+/// Tracing side of one barrier passage: a "barrier.wait" span from
+/// arrival to release, whose duration also feeds the barrier-wait
+/// counter. Both barriers below open one per wait; so does the OpenMP
+/// solver around `#pragma omp barrier` (core/phase.hpp). Costs one
+/// relaxed load while the tracer is stopped.
+class BarrierWaitScope {
+ public:
+  BarrierWaitScope();
+  ~BarrierWaitScope();
+  BarrierWaitScope(const BarrierWaitScope&) = delete;
+  BarrierWaitScope& operator=(const BarrierWaitScope&) = delete;
+
+ private:
+  bool active_ = false;
+  std::int64_t start_ns_ = 0;
+};
+
 /// Abstract barrier interface so solvers can swap implementations.
 class Barrier {
  public:

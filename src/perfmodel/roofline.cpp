@@ -44,20 +44,14 @@ constexpr double kReal = 8.0;  // sizeof(Real)
 const std::vector<KernelTraffic>& traffic_table() {
   static const std::vector<KernelTraffic> table = {
       {"collide_stream", "node", (19 + 3 + 19) * kReal, 260.0},
-      {"task.collide_stream", "node", (19 + 3 + 19) * kReal, 260.0},
       {"collide", "node", (19 + 3 + 19) * kReal, 260.0},
       {"stream", "node", (19 + 19) * kReal, 0.0},
       {"update_velocity", "node", (19 + 3 + 4) * kReal, 110.0},
       // Kernel 7's arithmetic over the present df, run on demand for the
       // rho/u the fused pipeline leaves stale.
       {"materialize_macroscopic", "node", (19 + 3 + 4) * kReal, 110.0},
-      // The dataflow pipeline fuses update_velocity with copy/swap into
-      // one cube-local pass over df_new.
-      {"task.update_copy", "node", (19 + 3 + 4) * kReal, 110.0},
       {"copy_df", "node", (19 + 19) * kReal, 0.0},
       {"spread", "point", (3 + 64 * 3 * 2) * kReal, 600.0},
-      {"fiber_forces_spread", "point", (3 + 64 * 3 * 2) * kReal, 730.0},
-      {"fiber_forces_fused", "point", (3 + 64 * 3 * 2) * kReal, 730.0},
       {"move_fibers", "point", (64 * 3 + 3 * 2) * kReal, 480.0},
       {"bending", "point", 7 * 3 * kReal, 130.0},
       {"stretching", "point", 5 * 3 * kReal, 90.0},

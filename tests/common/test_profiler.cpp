@@ -4,6 +4,7 @@
 #include <thread>
 
 #include "common/profiler.hpp"
+#include "core/phase.hpp"
 
 namespace lbmib {
 namespace {
@@ -29,7 +30,7 @@ TEST(KernelProfiler, AddAccumulates) {
 TEST(KernelProfiler, ScopeMeasuresElapsedTime) {
   KernelProfiler p;
   {
-    KernelProfiler::Scope scope(p, Kernel::kMoveFibers);
+    const PhaseScope phase(p, Kernel::kMoveFibers, /*fused=*/true);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_GE(p.seconds(Kernel::kMoveFibers), 0.009);

@@ -4,6 +4,8 @@
 // per-step longest-window assembly of the critical path.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "obs/critical_path.hpp"
@@ -68,8 +70,8 @@ TEST(CriticalPath, ChildrenClipToWindowAndCheckpointCountsAsHalo) {
                         1800, 500));
   events.push_back(make(SpanCat::kKernel, "outside", 0, 3000, 100));
 
-  const PathBreakdown& b =
-      attribute_spans(events).threads.at(0).breakdown;
+  // By value: a reference into the temporary report would dangle.
+  const PathBreakdown b = attribute_spans(events).threads.at(0).breakdown;
   EXPECT_NEAR(b.compute_seconds, 400 * kNs, 1e-15);  // [1000,1400)
   EXPECT_NEAR(b.halo_seconds, 200 * kNs, 1e-15);     // [1800,2000)
   EXPECT_NEAR(b.serial_seconds, 400 * kNs, 1e-15);   // [1400,1800)
@@ -130,6 +132,36 @@ TEST(CriticalPath, AttributesTheLiveTracerSession) {
   const PathBreakdown& b = report.threads[0].breakdown;
   EXPECT_NEAR(b.compute_seconds, 500 * kNs, 1e-15);
   EXPECT_NEAR(b.serial_seconds, 500 * kNs, 1e-15);
+}
+
+TEST(CriticalPath, PartialTableReportsDroppedEventsAndCoveredSteps) {
+  // Known answer: an 8-slot ring fed six steps of (kernel, step) spans
+  // keeps the newest 8 events, so the 4 oldest (steps 0 and 1) are lost
+  // and the table covers steps 2-5 — and must say so.
+  Tracer::start(8);
+  for (std::int64_t step = 0; step < 6; ++step) {
+    const std::int64_t t0 = step * 1000;
+    record_span(SpanCat::kKernel, "collide", t0, 800);
+    record_span(SpanCat::kStep, "step", t0, 1000, step);
+  }
+  const CriticalPathReport report = attribute_current_session();
+  Tracer::stop();
+
+  EXPECT_EQ(report.dropped_events, 4u);
+  EXPECT_EQ(report.steps, 4u);
+  EXPECT_NEAR(report.critical.compute_seconds, 4 * 800 * kNs, 1e-15);
+  const std::string table = report.to_string();
+  EXPECT_NE(table.find("partial: 4 events lost"), std::string::npos)
+      << table;
+  EXPECT_NE(table.find("covers 4 steps"), std::string::npos) << table;
+
+  // A session that kept every event prints no such line.
+  Tracer::start();
+  record_span(SpanCat::kStep, "step", 0, 1000, 0);
+  const CriticalPathReport whole = attribute_current_session();
+  Tracer::stop();
+  EXPECT_EQ(whole.dropped_events, 0u);
+  EXPECT_EQ(whole.to_string().find("partial"), std::string::npos);
 }
 #endif
 
