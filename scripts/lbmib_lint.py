@@ -1,25 +1,22 @@
 #!/usr/bin/env python3
-"""Portable engine for the five lbmib-* protocol checks.
+"""The lbmib-tidy engine: six lbmib-* protocol checks (DESIGN.md §17).
 
-The authoritative implementation is the clang-tidy plugin in
-tools/lint/ (lbmib-tidy, DESIGN.md §17); this module re-implements the
-same checks — same names, same message text, same NOLINT handling — as
-a dependency-free regex engine so the protocols still gate where the
-LLVM/Clang dev packages are absent. scripts/lint.sh and the
-`lint`-labeled ctest fixtures select whichever engine is available, and
-the fixtures assert identical diagnostic substrings from both, which is
-what keeps the two engines honest about each other.
+A dependency-free regex engine over comment- and string-stripped source
+text. It is the only lint engine: scripts/lint.sh runs it over src/,
+and the `lint`-labeled ctest fixtures in tests/lint/ pin each check's
+diagnostics by message substring.
 
 Checks (rationale lives next to each implementation):
   lbmib-raw-sync             raw std sync outside src/parallel/
   lbmib-missing-cancel-point unbounded loops with no cancel/heartbeat
-  lbmib-df-parity            df/df_new parity-swap protocol (PR 3)
+  lbmib-df-parity            df/df_new parity-swap protocol
   lbmib-lock-discipline      RAII guards; no blocking under SpinLock
   lbmib-nondeterminism       replayability of kernels and schedulers
+  lbmib-sync-visibility      raw waits/spins the tooling cannot see
 
-Suppressions: standard clang-tidy syntax — `// NOLINT(lbmib-raw-sync)`
-on the flagged line or `// NOLINTNEXTLINE(...)` on the line above, with
-`*` globs honored. A reason on the same line is mandatory by repo
+Suppressions: clang-tidy syntax — `// NOLINT(lbmib-raw-sync)` on the
+flagged line or `// NOLINTNEXTLINE(...)` on the line above, with `*`
+globs honored. A reason on the same line is mandatory by repo
 convention.
 
 Output: clang-tidy-style `path:line:col: warning: message [check]`.
@@ -502,6 +499,61 @@ def check_nondeterminism(ctx: FileCtx) -> list[Diag]:
 
 
 # --------------------------------------------------------------------
+# check: lbmib-sync-visibility
+#
+# The watchdog, the race detector and the model checker reason only
+# about blocking they can see. A raw condition-variable wait or atomic
+# spin loop with no cancel_point, mc:: schedule point or inst::/race::
+# instrumentation nearby can deadlock without the watchdog naming it,
+# and the model checker cannot preempt or replay it. Delegating calls
+# (barrier.arrive_and_wait(), channel.recv()) are not flagged: the
+# primitive they call carries the hooks. The model-checker engine is
+# exempt: it IS the visibility layer, and its controller handoff uses a
+# raw condvar by construction.
+
+SYNC_EXEMPT = re.compile(r"(^|/)src/parallel/modelcheck\.(?:hpp|cpp)$")
+SYNC_WINDOW = 12  # lines searched either side of a construct
+# A member call `.wait(`/`->wait_for(`/...; `mc::wait_until` is a
+# namespace call — the model-checker hook itself — and never matches.
+BLOCKING_WAIT = re.compile(
+    r"(?<=[\w)\]])\s*(?:\.|->)\s*wait(?:_for|_until)?\s*\("
+)
+SPIN_LOOP = re.compile(r"\bwhile\s*\(.*\.load\s*\(")
+VISIBILITY_MARKERS = re.compile(
+    r"cancel_point|cancelled\s*\(|mc::|LBMIB_MC_CHECK|inst::"
+    r"|LBMIB_INSTRUMENT|race::"
+)
+
+
+def check_sync_visibility(ctx: FileCtx) -> list[Diag]:
+    if SYNC_EXEMPT.search(ctx.rel):
+        return []
+    out = []
+    for idx, text in enumerate(ctx.stripped):
+        m = BLOCKING_WAIT.search(text) or SPIN_LOOP.search(text)
+        if m is None:
+            continue
+        lo = max(0, idx - SYNC_WINDOW)
+        window = "\n".join(ctx.stripped[lo : idx + SYNC_WINDOW + 1])
+        if VISIBILITY_MARKERS.search(window):
+            continue
+        out.append(
+            Diag(
+                ctx.rel,
+                idx + 1,
+                m.start() + 1,
+                "lbmib-sync-visibility",
+                "blocking wait or spin loop has no cancel_point, mc::, "
+                f"inst:: or race:: marker within {SYNC_WINDOW} lines; the "
+                "watchdog cannot name it and the model checker cannot "
+                "preempt or replay it — add the seam, or route the wait "
+                "through a src/parallel/ primitive",
+            )
+        )
+    return out
+
+
+# --------------------------------------------------------------------
 # driver
 
 CHECKS = {
@@ -510,6 +562,7 @@ CHECKS = {
     "lbmib-df-parity": check_df_parity,
     "lbmib-lock-discipline": check_lock_discipline,
     "lbmib-nondeterminism": check_nondeterminism,
+    "lbmib-sync-visibility": check_sync_visibility,
 }
 
 
@@ -579,6 +632,21 @@ SELF_TESTS = [
         "while (true) {\n  spin();\n}\n",
         "// NOLINTNEXTLINE(lbmib-*) bounded by the frame stack\n"
         "while (true) {\n  spin();\n}\n",
+    ),
+    (
+        "lbmib-sync-visibility",  # naked spin vs. marked spin
+        "void f(std::atomic<int>& flag) {\n"
+        "  while (flag.load(std::memory_order_acquire) == 0) {\n  }\n}\n",
+        "void f(std::atomic<int>& flag) {\n"
+        "  while (flag.load(std::memory_order_acquire) == 0) {\n"
+        "    cancel_point(\"f\");\n  }\n}\n",
+    ),
+    (
+        "lbmib-sync-visibility",  # naked wait vs. suppressed wait
+        "void f(Cv& cv, Lock& lock) {\n  cv.wait(lock);\n}\n",
+        "void f(Cv& cv, Lock& lock) {\n"
+        "  cv.wait(lock);  // NOLINT(lbmib-sync-visibility) leaf wrapper\n"
+        "}\n",
     ),
 ]
 

@@ -4,32 +4,32 @@
 # Usage: scripts/lint.sh [--strict] [--log FILE] [--only LEG[,LEG...]]
 #
 # Legs, in order:
-#   lbmib     the five lbmib-* protocol checks (DESIGN.md §17) — via the
-#             clang-tidy plugin when one is available, else via the
-#             portable engine scripts/lbmib_lint.py
+#   lbmib     the six lbmib-* protocol checks (DESIGN.md §17):
+#             scripts/lbmib_lint.py (self-test, then the src/ tree)
 #   tidy      stock clang-tidy profile (.clang-tidy) over src/
 #   analyzer  Clang Static Analyzer leg of the same script
-#   sync      scripts/check_sync_points.py (self-test, then the tree)
 #   vec       scripts/check_vectorization.sh (hot loops stay vectorized)
 #
 # A leg whose tool is missing is SKIPPED with a notice and does not fail
-# the run — every developer box has python3, so the protocol checks
-# always execute somewhere, but clang-tidy and the analyzer only run
-# where LLVM is installed. --strict turns skips into failures; CI's
-# custom-lint job passes it so a silently missing tool cannot turn the
-# gate green.
-#
-# Plugin discovery for the lbmib leg: $LBMIB_TIDY_PLUGIN if set, else
-# the first build*/tools/lint/liblbmib_tidy.so in the repo. When neither
-# exists (or clang-tidy itself is absent) the Python engine runs
-# instead; the fixtures in tests/lint/ hold both engines to the same
-# diagnostics.
+# the run: the protocol checks need only python3, but clang-tidy and the
+# analyzer run only where LLVM is installed. --strict turns skips into
+# failures; CI's lint job passes it so a silently missing tool cannot
+# turn the gate green. An unknown leg name is a usage error.
 #
 # Exit code: 0 all legs passed (skips allowed unless --strict),
-#            1 at least one leg failed or (--strict) was skipped.
+#            1 at least one leg failed, (--strict) was skipped, or the
+#              command line was invalid.
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
+
+LEGS=(lbmib tidy analyzer vec)
+
+usage() {
+  echo "usage: $0 [--strict] [--log FILE] [--only LEG[,LEG...]]" >&2
+  echo "legs: ${LEGS[*]}" >&2
+  exit 1
+}
 
 STRICT=0
 LOG=""
@@ -39,9 +39,16 @@ while [[ $# -gt 0 ]]; do
     --strict) STRICT=1; shift ;;
     --log) LOG="${2:?--log needs a file}"; shift 2 ;;
     --only) ONLY="${2:?--only needs a leg list}"; shift 2 ;;
-    *) echo "usage: $0 [--strict] [--log FILE] [--only LEG[,LEG...]]" >&2
-       exit 1 ;;
+    *) usage ;;
   esac
+done
+
+IFS=, read -ra _only_legs <<< "$ONLY"
+for leg in "${_only_legs[@]}"; do
+  if [[ " ${LEGS[*]} " != *" $leg "* ]]; then
+    echo "$0: unknown leg '$leg'" >&2
+    usage
+  fi
 done
 
 if [[ -n "$LOG" ]]; then
@@ -75,21 +82,10 @@ skip_leg() {
   SKIPPED+=("$leg")
 }
 
-# --- lbmib: the five protocol checks ---------------------------------
+# --- lbmib: the six protocol checks ----------------------------------
 if wants lbmib; then
-  PLUGIN="${LBMIB_TIDY_PLUGIN:-}"
-  if [[ -z "$PLUGIN" ]]; then
-    for so in build*/tools/lint/liblbmib_tidy.so; do
-      [[ -f "$so" ]] && PLUGIN="$so" && break
-    done
-  fi
-  if [[ -n "$PLUGIN" && -f "$PLUGIN" ]]; then
-    run_leg lbmib scripts/run_clang_tidy.sh --lbmib "$PLUGIN"
-  else
-    note "[lbmib] no plugin found; using the portable engine"
-    run_leg lbmib python3 scripts/lbmib_lint.py --self-test
-    run_leg lbmib python3 scripts/lbmib_lint.py
-  fi
+  run_leg lbmib python3 scripts/lbmib_lint.py --self-test
+  run_leg lbmib python3 scripts/lbmib_lint.py
 fi
 
 # --- tidy / analyzer: stock clang-tidy profiles ----------------------
@@ -106,12 +102,6 @@ if wants analyzer; then
   else
     skip_leg analyzer "clang-tidy not installed"
   fi
-fi
-
-# --- sync: blocking-primitive seam lint ------------------------------
-if wants sync; then
-  run_leg sync python3 scripts/check_sync_points.py --self-test
-  run_leg sync python3 scripts/check_sync_points.py
 fi
 
 # --- vec: hot loops stay vectorized ----------------------------------

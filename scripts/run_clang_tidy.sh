@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Run clang-tidy (config: .clang-tidy) over the library sources.
 #
-# Usage: scripts/run_clang_tidy.sh [--analyzer | --lbmib PLUGIN.so] [build-dir]
+# Usage: scripts/run_clang_tidy.sh [--analyzer] [build-dir]
 #
 # Generates compile_commands.json in a dedicated build tree (default:
 # build-tidy) so the main build is untouched, then tidies every .cpp
@@ -15,11 +15,8 @@
 # the CI clang job runs them as their own leg instead of serializing
 # them behind the fast profile.
 #
-# --lbmib PLUGIN.so loads the lbmib-tidy plugin (tools/lint/) and runs
-# ONLY its five protocol checks, all promoted to errors. The plugin must
-# have been built against the same LLVM as the clang-tidy binary; set
-# LLVM_DIR to the install CMake was pointed at and this script resolves
-# the matching binary from it.
+# The repo's own lbmib-* protocol checks are not clang-tidy checks; they
+# run through scripts/lbmib_lint.py (scripts/lint.sh, leg `lbmib`).
 #
 # Binary selection (first match wins):
 #   $CLANG_TIDY / $RUN_CLANG_TIDY   explicit override
@@ -30,18 +27,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 MODE=full
-PLUGIN=""
-case "${1:-}" in
-  --analyzer)
-    MODE=analyzer
-    shift
-    ;;
-  --lbmib)
-    MODE=lbmib
-    PLUGIN="${2:?--lbmib needs the plugin path (liblbmib_tidy.so)}"
-    shift 2
-    ;;
-esac
+if [[ "${1:-}" == --analyzer ]]; then
+  MODE=analyzer
+  shift
+fi
 BUILD_DIR="${1:-build-tidy}"
 
 # Resolve the clang-tidy binary. LLVM_DIR is typically
@@ -62,25 +51,12 @@ if ! command -v "$TIDY_BIN" >/dev/null 2>&1; then
 fi
 
 TIDY_ARGS=()
-case "$MODE" in
-  analyzer)
-    # Restrict to the analyzer group while keeping .clang-tidy's
-    # documented suppressions (a -checks= filter composes with the
-    # config file's list).
-    TIDY_ARGS+=("-checks=-*,clang-analyzer-*,-clang-analyzer-optin.performance.Padding,-clang-analyzer-optin.cplusplus.VirtualCall")
-    ;;
-  lbmib)
-    if [[ ! -f "$PLUGIN" ]]; then
-      echo "error: lbmib-tidy plugin not found: $PLUGIN" >&2
-      echo "Build it with: cmake -B build-lint -S . -DLBMIB_BUILD_LINT=ON" >&2
-      echo "               cmake --build build-lint --target lbmib_tidy" >&2
-      exit 1
-    fi
-    TIDY_ARGS+=("--load=$PLUGIN"
-                "-checks=-*,lbmib-*"
-                "-warnings-as-errors=lbmib-*")
-    ;;
-esac
+if [[ "$MODE" == analyzer ]]; then
+  # Restrict to the analyzer group while keeping .clang-tidy's
+  # documented suppressions (a -checks= filter composes with the
+  # config file's list).
+  TIDY_ARGS+=("-checks=-*,clang-analyzer-*,-clang-analyzer-optin.performance.Padding,-clang-analyzer-optin.cplusplus.VirtualCall")
+fi
 
 cmake -B "$BUILD_DIR" -S . \
   -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
@@ -94,8 +70,7 @@ trap 'rm -f "$LOG"' EXIT
 
 # run-clang-tidy parallelizes across files; use it when present and
 # point it at the same binary so a CLANG_TIDY/LLVM_DIR override applies
-# to both paths. The plugin mode keeps working either way because
-# --load travels through as an extra clang-tidy argument.
+# to both paths.
 RUN_TIDY_BIN="${RUN_CLANG_TIDY:-}"
 if [[ -z "$RUN_TIDY_BIN" && -n "${LLVM_DIR:-}" ]]; then
   llvm_prefix="${LLVM_DIR%%/lib/cmake*}"

@@ -63,6 +63,16 @@ inline Real norm(const Vec3& a) { return std::sqrt(dot(a, a)); }
 
 constexpr Real norm2(const Vec3& a) { return dot(a, a); }
 
+/// (x, y, z) += w * v with one explicit fused multiply-add per component.
+/// Every plain force-spreading path accumulates through this, so a sum
+/// rounds the same whether or not the compiler inlined the accumulation
+/// and contracted the multiply-add on its own (-ffp-contract).
+inline void fma_accumulate(Real& x, Real& y, Real& z, Real w, const Vec3& v) {
+  x = std::fma(w, v.x, x);
+  y = std::fma(w, v.y, y);
+  z = std::fma(w, v.z, z);
+}
+
 inline std::ostream& operator<<(std::ostream& os, const Vec3& v) {
   return os << '(' << v.x << ", " << v.y << ", " << v.z << ')';
 }

@@ -350,7 +350,7 @@ void Distributed2DSolver::spread_forces_local(Rank& r) {
       const Vec3 force = area * sheet.elastic_force(i);
       for_each_tile_stencil_node(
           r.tile, *r.grid, params_.nx, params_.ny, sheet.position(i),
-          [&](Size node, Real w) { r.grid->add_force(node, w * force); });
+          [&](Size node, Real w) { r.grid->add_force(node, force, w); });
     }
   }
 }

@@ -227,15 +227,16 @@ class CubeGrid {
     return {slot(cube, kFxSlot)[local], slot(cube, kFySlot)[local],
             slot(cube, kFzSlot)[local]};
   }
-  void add_force(Size cube, Size local, const Vec3& f) {
+  /// F += w * f at (cube, local) (fma_accumulate rounding, the same as
+  /// FluidGrid::add_force).
+  void add_force(Size cube, Size local, const Vec3& f, Real w = Real{1}) {
     LBMIB_ACCESS_CHECK(
         if (checker_ != nullptr) checker_->check_unlocked_write(cube);)
     LBMIB_RACE_CHECK(race::access(this, cube, RaceField::kForce,
                                   RaceAccess::kWrite,
                                   "add_force (unlocked)");)
-    slot(cube, kFxSlot)[local] += f.x;
-    slot(cube, kFySlot)[local] += f.y;
-    slot(cube, kFzSlot)[local] += f.z;
+    fma_accumulate(slot(cube, kFxSlot)[local], slot(cube, kFySlot)[local],
+                   slot(cube, kFzSlot)[local], w, f);
   }
 
   /// add_force for a cross-thread write under the owning thread's lock
@@ -245,7 +246,8 @@ class CubeGrid {
   /// the one cube2thread assigns to `cube`.
   void add_force_locked([[maybe_unused]] SpinLock& owner_lock,
                         [[maybe_unused]] int owner, Size cube, Size local,
-                        const Vec3& f) LBMIB_REQUIRES(owner_lock) {
+                        const Vec3& f, Real w = Real{1})
+      LBMIB_REQUIRES(owner_lock) {
     LBMIB_ACCESS_CHECK(
         if (checker_ != nullptr) checker_->check_locked_write(cube, owner);)
     // An exclusive write, not a scatter: the owner's lock totally
@@ -254,9 +256,8 @@ class CubeGrid {
     LBMIB_RACE_CHECK(race::access(this, cube, RaceField::kForce,
                                   RaceAccess::kWrite,
                                   "add_force (owner-locked)");)
-    slot(cube, kFxSlot)[local] += f.x;
-    slot(cube, kFySlot)[local] += f.y;
-    slot(cube, kFzSlot)[local] += f.z;
+    fma_accumulate(slot(cube, kFxSlot)[local], slot(cube, kFySlot)[local],
+                   slot(cube, kFzSlot)[local], w, f);
   }
 
   /// Attach (or detach with nullptr) the debug ownership checker consulted

@@ -774,7 +774,7 @@ void cube_spread_impl(const FiberSheet& sheet, CubeGrid& grid,
             const CubeGrid::NodeRef r{
                 static_cast<Size>(cube_xy + ax.cube_c[2][c]),
                 static_cast<Size>(local_xy + ax.local_c[2][c])};
-            add(r, w * force);
+            add(r, w, force);
           }
         }
       }
@@ -791,22 +791,22 @@ void cube_spread_force(const FiberSheet& sheet, CubeGrid& grid,
   const Index ncy = grid.cubes_y(), ncz = grid.cubes_z();
   cube_spread_impl(
       sheet, grid, fiber_begin, fiber_end,
-      [&](const CubeGrid::NodeRef& r, const Vec3& f) {
+      [&](const CubeGrid::NodeRef& r, Real w, const Vec3& f) {
         const Index cx = static_cast<Index>(r.cube) / (ncy * ncz);
         const Index cy = (static_cast<Index>(r.cube) / ncz) % ncy;
         const Index cz = static_cast<Index>(r.cube) % ncz;
         const int owner = dist.cube2thread(cx, cy, cz);
         SpinLockGuard guard(locks[static_cast<Size>(owner)]);
         grid.add_force_locked(locks[static_cast<Size>(owner)], owner,
-                              r.cube, r.local, f);
+                              r.cube, r.local, f, w);
       });
 }
 
 void cube_spread_force_unlocked(const FiberSheet& sheet, CubeGrid& grid,
                                 Index fiber_begin, Index fiber_end) {
   cube_spread_impl(sheet, grid, fiber_begin, fiber_end,
-                   [&](const CubeGrid::NodeRef& r, const Vec3& f) {
-                     grid.add_force(r.cube, r.local, f);
+                   [&](const CubeGrid::NodeRef& r, Real w, const Vec3& f) {
+                     grid.add_force(r.cube, r.local, f, w);
                    });
 }
 
@@ -822,13 +822,13 @@ void cube_spread_force_atomic(const FiberSheet& sheet, CubeGrid& grid,
                                       "cube_spread_force_atomic");)
   cube_spread_impl(
       sheet, grid, fiber_begin, fiber_end,
-      [&](const CubeGrid::NodeRef& r, const Vec3& f) {
+      [&](const CubeGrid::NodeRef& r, Real w, const Vec3& f) {
         std::atomic_ref<Real>(grid.slot(r.cube, CubeGrid::kFxSlot)[r.local])
-            .fetch_add(f.x, std::memory_order_relaxed);
+            .fetch_add(w * f.x, std::memory_order_relaxed);
         std::atomic_ref<Real>(grid.slot(r.cube, CubeGrid::kFySlot)[r.local])
-            .fetch_add(f.y, std::memory_order_relaxed);
+            .fetch_add(w * f.y, std::memory_order_relaxed);
         std::atomic_ref<Real>(grid.slot(r.cube, CubeGrid::kFzSlot)[r.local])
-            .fetch_add(f.z, std::memory_order_relaxed);
+            .fetch_add(w * f.z, std::memory_order_relaxed);
       });
 }
 

@@ -60,7 +60,7 @@ void spread_impl(const FiberSheet& sheet, FluidGrid& grid,
             if (w == Real{0}) continue;
             const Size fluid_node = grid.periodic_index(
                 d.base[0] + a, d.base[1] + b, d.base[2] + c);
-            add(fluid_node, w * force);
+            add(fluid_node, w, force);
           }
         }
       }
@@ -80,7 +80,9 @@ void spread_force(const FiberSheet& sheet, FluidGrid& grid,
       inst::planes(grid, 0, static_cast<Size>(grid.nx()),
                    RaceField::kForce, RaceAccess::kWrite, "spread_force");)
   spread_impl(sheet, grid, fiber_begin, fiber_end,
-              [&grid](Size node, const Vec3& f) { grid.add_force(node, f); });
+              [&grid](Size node, Real w, const Vec3& f) {
+                grid.add_force(node, f, w);
+              });
 }
 
 void spread_force_atomic(const FiberSheet& sheet, FluidGrid& grid,
@@ -95,13 +97,13 @@ void spread_force_atomic(const FiberSheet& sheet, FluidGrid& grid,
   Real* fy = grid.fy_data();
   Real* fz = grid.fz_data();
   spread_impl(sheet, grid, fiber_begin, fiber_end,
-              [=](Size node, const Vec3& f) {
+              [=](Size node, Real w, const Vec3& f) {
                 std::atomic_ref<Real>(fx[node]).fetch_add(
-                    f.x, std::memory_order_relaxed);
+                    w * f.x, std::memory_order_relaxed);
                 std::atomic_ref<Real>(fy[node]).fetch_add(
-                    f.y, std::memory_order_relaxed);
+                    w * f.y, std::memory_order_relaxed);
                 std::atomic_ref<Real>(fz[node]).fetch_add(
-                    f.z, std::memory_order_relaxed);
+                    w * f.z, std::memory_order_relaxed);
               });
 }
 

@@ -133,10 +133,9 @@ class FluidGrid {
   Real fz(Size node) const { return fz_[node]; }
 
   Vec3 force(Size node) const { return {fx_[node], fy_[node], fz_[node]}; }
-  void add_force(Size node, const Vec3& f) {
-    fx_[node] += f.x;
-    fy_[node] += f.y;
-    fz_[node] += f.z;
+  /// F += w * f at `node` (fma_accumulate rounding).
+  void add_force(Size node, const Vec3& f, Real w = Real{1}) {
+    fma_accumulate(fx_[node], fy_[node], fz_[node], w, f);
   }
 
   Real* fx_data() { return fx_.data(); }

@@ -142,6 +142,7 @@ void TelemetryServer::stop() {
 
 void TelemetryServer::serve_loop() {
 #if LBMIB_HAVE_SOCKETS
+  // NOLINTNEXTLINE(lbmib-sync-visibility) bounded 200 ms poll; stop() ends it
   while (!stop_requested_.load(std::memory_order_acquire)) {
     const int fd = listen_fd_.load(std::memory_order_acquire);
     if (fd < 0) return;  // stop() already closed the socket

@@ -41,7 +41,7 @@ class LBMIB_CAPABILITY("Mutex") Mutex {
     std::unique_lock<std::mutex> lock(m_, std::adopt_lock);
     // The predicate loop lives at every call site (see the header
     // comment); a predicate here would defeat the capability adoption.
-    // sync-lint: ok leaf wrapper; cancel/mc seams live at call sites
+    // NOLINTNEXTLINE(lbmib-sync-visibility) leaf wrapper; cancel/mc seams live at call sites
     cv.wait(lock);  // NOLINT(bugprone-spuriously-wake-up-functions)
     lock.release();
   }
@@ -56,7 +56,7 @@ class LBMIB_CAPABILITY("Mutex") Mutex {
                 std::chrono::duration<Rep, Period> timeout)
       LBMIB_REQUIRES(this) {
     std::unique_lock<std::mutex> lock(m_, std::adopt_lock);
-    // sync-lint: ok bounded leaf wrapper; callers poll cancellation
+    // NOLINTNEXTLINE(lbmib-sync-visibility) bounded leaf wrapper; callers poll cancellation
     const std::cv_status status = cv.wait_for(lock, timeout);
     lock.release();
     return status == std::cv_status::no_timeout;

@@ -57,14 +57,8 @@ TEST(CubeSpread, LockedSingleThreadMatchesUnlocked) {
   cube_spread_force_unlocked(sheet, b, 0, sheet.num_fibers());
   for (Size cube = 0; cube < a.num_cubes(); ++cube) {
     for (Size local = 0; local < a.nodes_per_cube(); ++local) {
-      // Same adds in the same order, but the two template instantiations
-      // may contract multiply-adds differently (-ffp-contract), so allow
-      // last-bit noise.
-      const Vec3 got = a.force(cube, local);
-      const Vec3 want = b.force(cube, local);
-      EXPECT_NEAR(got.x, want.x, 1e-16);
-      EXPECT_NEAR(got.y, want.y, 1e-16);
-      EXPECT_NEAR(got.z, want.z, 1e-16);
+      // Same adds in the same order, each one explicit FMA: same bits.
+      EXPECT_EQ(a.force(cube, local), b.force(cube, local));
     }
   }
 }

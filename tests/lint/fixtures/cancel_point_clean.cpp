@@ -1,8 +1,8 @@
 // Unbounded loops that poll cancellation, beat the progress board, or
 // block on a cancellable primitive must pass lbmib-missing-cancel-point.
 //
+// CHECK: lbmib-missing-cancel-point
 // EXPECT-CLEAN
-#include "stub_lbmib.h"
 
 int poll_flag();
 void step_once();

@@ -1,8 +1,8 @@
 // lbmib-missing-cancel-point must flag unbounded loops with no
 // cancellation poll, heartbeat, or cancellable blocking call.
 //
+// CHECK: lbmib-missing-cancel-point
 // EXPECT: unbounded loop has no cancel_point(), heartbeat, or cancellable blocking call
-#include "stub_lbmib.h"
 
 int poll_flag();
 void step_once();

@@ -1,8 +1,8 @@
 // Reading df state through the parity accessors must pass
 // lbmib-df-parity everywhere in the tree.
 //
+// CHECK: lbmib-df-parity
 // EXPECT-CLEAN
-#include "stub_lbmib.h"
 
 double* present_base(lbmib::CubeGrid& grid) {
   return grid.data() + grid.df_slot_base();

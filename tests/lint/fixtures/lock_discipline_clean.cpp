@@ -1,8 +1,8 @@
 // RAII guards, and blocking only after the guard's scope closes, must
 // pass lbmib-lock-discipline.
 //
+// CHECK: lbmib-lock-discipline
 // EXPECT-CLEAN
-#include "stub_lbmib.h"
 
 int shared_counter;
 

@@ -1,10 +1,10 @@
 // lbmib-lock-discipline must flag manual lock()/unlock() pairs and
 // blocking calls made while a SpinLock is held.
 //
+// CHECK: lbmib-lock-discipline
 // EXPECT: manual 'lock()' call; use a RAII guard
 // EXPECT: manual 'unlock()' call; use a RAII guard
 // EXPECT: while a SpinLock is held (guard 'guard' is live)
-#include "stub_lbmib.h"
 
 int shared_counter;
 

@@ -1,8 +1,8 @@
 // Seeded RNG, steady_clock durations, and value-keyed containers must
 // pass lbmib-nondeterminism.
 //
+// CHECK: lbmib-nondeterminism
 // EXPECT-CLEAN
-#include "stub_lbmib.h"
 
 unsigned long long pick(lbmib::SplitMix64& rng) {
   return rng.next() % 4;

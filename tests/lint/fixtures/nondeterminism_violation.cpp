@@ -1,11 +1,11 @@
 // lbmib-nondeterminism must flag hidden-input randomness, wall-clock
 // reads, and pointer-keyed ordered containers.
 //
+// CHECK: lbmib-nondeterminism
 // EXPECT: 'rand' is nondeterministic across runs
 // EXPECT: wall-clock read is nondeterministic across runs
 // EXPECT: std::random_device draws from the OS entropy pool
 // EXPECT: iterates in address order
-#include "stub_lbmib.h"
 
 struct Task {};
 

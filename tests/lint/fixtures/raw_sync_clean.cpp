@@ -1,8 +1,8 @@
 // The library's own primitives — and NOLINT'ed deliberate exceptions —
 // must pass lbmib-raw-sync.
 //
+// CHECK: lbmib-raw-sync
 // EXPECT-CLEAN
-#include "stub_lbmib.h"
 
 struct Worker {
   lbmib::Mutex mu;

@@ -1,10 +1,10 @@
 // lbmib-raw-sync must flag raw standard-library synchronization that
 // bypasses the instrumented primitives in src/parallel/.
 //
+// CHECK: lbmib-raw-sync
 // EXPECT: raw 'std::mutex' outside src/parallel/ is invisible to the race detector
 // EXPECT: raw 'std::condition_variable' outside src/parallel/
 // EXPECT: raw 'std::thread' outside src/parallel/
-#include "stub_lbmib.h"
 
 struct Worker {
   std::mutex mu;

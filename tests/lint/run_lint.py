@@ -1,119 +1,74 @@
 #!/usr/bin/env python3
 """Fixture driver for the lbmib-* protocol checks (ctest label: lint).
 
-Runs one lint engine over a fixture (or the whole src/ tree) and
-asserts the observable behavior both engines must share:
+Runs scripts/lbmib_lint.py over a fixture (or the whole src/ tree) and
+asserts its observable behavior:
 
+  * every fixture names the check it covers on a `// CHECK: <check>`
+    line;
   * a *_violation.cpp fixture declares its expected diagnostics as
-    `// EXPECT: <substring>` lines — each substring must appear in some
-    emitted diagnostic, and at least one lbmib-* diagnostic must fire;
-  * a *_clean.cpp fixture declares `// EXPECT-CLEAN` — no lbmib-*
+    `// EXPECT: <substring>` lines: at least one diagnostic of its check
+    must fire, and each substring must appear in one of them;
+  * a *_clean.cpp fixture declares `// EXPECT-CLEAN`: no lbmib-*
     diagnostic may fire;
-  * --tree runs the engine over src/ and requires zero diagnostics
-    (every deliberate exception in the tree carries a NOLINT + reason).
+  * --coverage requires a violation and a clean fixture for every check
+    that `lbmib_lint.py --list-checks` prints, so a new check cannot
+    land untested;
+  * --tree requires zero diagnostics over src/ (every deliberate
+    exception in the tree carries a NOLINT + reason).
 
-Engines:
-  python   scripts/lbmib_lint.py (always available)
-  plugin   clang-tidy --load liblbmib_tidy.so; needs $LBMIB_TIDY_PLUGIN
-           (or --plugin) and a clang-tidy binary ($CLANG_TIDY or PATH)
-  auto     plugin when available, else python (the default)
-
-Because the fixtures assert message *substrings*, they hold the AST
-engine and the regex fallback to the same contract; a message edit in
-one engine that is not mirrored in the other fails these tests.
-
-Exit: 0 pass, 1 assertion failed, 2 usage error / missing tool.
+Exit: 0 pass, 1 assertion failed, 2 usage error.
 """
 
 import argparse
-import os
 import pathlib
-import shutil
-import subprocess
 import sys
 
 HERE = pathlib.Path(__file__).resolve().parent
-REPO = HERE.parent.parent
-PY_ENGINE = REPO / "scripts" / "lbmib_lint.py"
-FIXTURE_INCLUDE = HERE / "fixtures"
+FIXTURES = HERE / "fixtures"
+sys.path.insert(0, str(HERE.parent.parent / "scripts"))
+
+import lbmib_lint  # noqa: E402
 
 
-def resolve_plugin(explicit):
-    plugin = explicit or os.environ.get("LBMIB_TIDY_PLUGIN", "")
-    if not plugin or not pathlib.Path(plugin).is_file():
-        return None, None
-    tidy = os.environ.get("CLANG_TIDY", "") or shutil.which("clang-tidy")
-    if not tidy:
-        return None, None
-    return plugin, tidy
-
-
-def run_python(target):
-    proc = subprocess.run(
-        [sys.executable, str(PY_ENGINE), str(target)],
-        capture_output=True,
-        text=True,
-    )
-    return proc.stdout.splitlines(), proc.returncode
-
-
-def run_plugin(target, plugin, tidy):
-    proc = subprocess.run(
-        [
-            tidy,
-            f"--load={plugin}",
-            "--checks=-*,lbmib-*",
-            str(target),
-            "--",
-            "-std=c++17",
-            f"-I{FIXTURE_INCLUDE}",
-        ],
-        capture_output=True,
-        text=True,
-    )
-    # clang-tidy exits non-zero on hard errors (bad plugin, parse
-    # failure) but 0 even with warnings; surface hard errors loudly.
-    if proc.returncode not in (0, 1):
-        sys.stderr.write(proc.stdout + proc.stderr)
-        sys.exit(2)
-    return proc.stdout.splitlines(), proc.returncode
-
-
-def parse_expectations(path):
-    expects, clean = [], False
+def parse_fixture(path):
+    check, expects, clean = None, [], False
     for line in path.read_text().splitlines():
         line = line.strip()
-        if line.startswith("// EXPECT-CLEAN"):
+        if line.startswith("// CHECK:"):
+            check = line[len("// CHECK:"):].strip()
+        elif line.startswith("// EXPECT-CLEAN"):
             clean = True
         elif line.startswith("// EXPECT:"):
             expects.append(line[len("// EXPECT:"):].strip())
-    return expects, clean
+    return check, expects, clean
 
 
-def check_fixture(path, engine, plugin, tidy):
-    expects, clean = parse_expectations(path)
-    if not expects and not clean:
-        print(f"error: {path} declares no EXPECT lines", file=sys.stderr)
+def check_fixture(path):
+    check, expects, clean = parse_fixture(path)
+    if check not in lbmib_lint.CHECKS:
+        print(f"error: {path.name} names no known check "
+              f"(// CHECK: {check})", file=sys.stderr)
         return 2
-    if engine == "plugin":
-        lines, _ = run_plugin(path, plugin, tidy)
-    else:
-        lines, _ = run_python(path)
-    diags = [ln for ln in lines if "[lbmib-" in ln]
+    if bool(expects) == clean:
+        print(f"error: {path.name} needs EXPECT lines or EXPECT-CLEAN, "
+              "not both", file=sys.stderr)
+        return 2
+    diags = [str(d) for d in lbmib_lint.lint_file(path)]
+    own = [d for d in diags if d.endswith(f"[{check}]")]
 
     failures = []
     if clean and diags:
         failures.append("expected a clean run, got:")
         failures.extend("  " + d for d in diags)
-    if expects and not diags:
-        failures.append("expected diagnostics, engine emitted none")
+    if expects and not own:
+        failures.append(f"expected {check} diagnostics, engine emitted none")
     for want in expects:
-        if not any(want in d for d in diags):
-            failures.append(f"no diagnostic contains: {want!r}")
+        if not any(want in d for d in own):
+            failures.append(f"no {check} diagnostic contains: {want!r}")
 
-    name = path.name
     if failures:
-        print(f"FAIL [{engine}] {name}")
+        print(f"FAIL {path.name}")
         for f in failures:
             print("  " + f)
         if diags:
@@ -121,58 +76,62 @@ def check_fixture(path, engine, plugin, tidy):
             for d in diags:
                 print("    " + d)
         return 1
-    print(f"ok   [{engine}] {name} "
-          f"({len(diags)} diagnostic(s), {len(expects)} expectation(s))")
+    print(f"ok   {path.name} ({len(diags)} diagnostic(s), "
+          f"{len(expects)} expectation(s))")
     return 0
 
 
-def check_tree(engine, plugin, tidy):
-    if engine == "plugin":
-        # The plugin tree run needs a compile database; that path is
-        # exercised by scripts/run_clang_tidy.sh --lbmib (CI custom-lint
-        # job). Here the portable engine scans the same files.
-        print("note: --tree always uses the python engine "
-              "(the plugin tree run goes through run_clang_tidy.sh)")
-    proc = subprocess.run(
-        [sys.executable, str(PY_ENGINE)], capture_output=True, text=True
-    )
-    if proc.returncode == 0:
-        print("ok   [python] src/ tree clean")
+def check_coverage():
+    covered = {}
+    for path in sorted(FIXTURES.glob("*.cpp")):
+        check, _, clean = parse_fixture(path)
+        covered.setdefault(check, set()).add("clean" if clean else "violation")
+    missing = [
+        f"{check}: no {kind} fixture"
+        for check in lbmib_lint.CHECKS
+        for kind in ("violation", "clean")
+        if kind not in covered.get(check, set())
+    ]
+    unknown = sorted(c for c in covered if c not in lbmib_lint.CHECKS)
+    missing += [f"fixture names unknown check {c!r}" for c in unknown]
+    if missing:
+        print("FAIL fixture coverage")
+        for m in missing:
+            print("  " + m)
+        return 1
+    print(f"ok   {len(lbmib_lint.CHECKS)} checks, each with a violation "
+          "and a clean fixture")
+    return 0
+
+
+def check_tree():
+    diags = [d for f in lbmib_lint.tree_files()
+             for d in lbmib_lint.lint_file(f)]
+    if not diags:
+        print("ok   src/ tree clean")
         return 0
-    sys.stdout.write(proc.stdout)
-    sys.stderr.write(proc.stderr)
-    print("FAIL [python] src/ tree has undocumented diagnostics")
+    for d in diags:
+        print(d)
+    print("FAIL src/ tree has undocumented diagnostics")
     return 1
 
 
 def main(argv):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--fixture", type=pathlib.Path)
-    ap.add_argument("--tree", action="store_true")
-    ap.add_argument("--engine", choices=("auto", "python", "plugin"),
-                    default="auto")
-    ap.add_argument("--plugin", help="path to liblbmib_tidy.so")
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--fixture", type=pathlib.Path)
+    mode.add_argument("--coverage", action="store_true")
+    mode.add_argument("--tree", action="store_true")
     args = ap.parse_args(argv)
 
-    if bool(args.fixture) == args.tree:
-        ap.error("exactly one of --fixture / --tree is required")
-
-    plugin, tidy = resolve_plugin(args.plugin)
-    engine = args.engine
-    if engine == "auto":
-        engine = "plugin" if plugin else "python"
-    elif engine == "plugin" and not plugin:
-        print("error: plugin engine requested but no plugin/clang-tidy "
-              "found (set LBMIB_TIDY_PLUGIN and CLANG_TIDY)",
-              file=sys.stderr)
-        return 2
-
     if args.tree:
-        return check_tree(engine, plugin, tidy)
+        return check_tree()
+    if args.coverage:
+        return check_coverage()
     if not args.fixture.is_file():
         print(f"error: no such fixture: {args.fixture}", file=sys.stderr)
         return 2
-    return check_fixture(args.fixture.resolve(), engine, plugin, tidy)
+    return check_fixture(args.fixture.resolve())
 
 
 if __name__ == "__main__":
